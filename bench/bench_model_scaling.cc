@@ -18,9 +18,11 @@
  *    product through exploreFrontier(), without and with subgrid
  *    bound pruning.
  *  - sweep_mixing_4096_scalar / explorer_grid_scalar: the same grid
- *    workloads forced onto the scalar reference path
- *    (simd::ScopedEnable), so the "*_simd_vs_scalar" speedups are a
- *    same-run, machine-independent measure of the packed lanes.
+ *    workloads as one-point-at-a-time GablesEvaluator loops in this
+ *    file, replaying the drivers' per-point mutation sequence, so
+ *    the "*_simd_vs_scalar" speedups are a same-run,
+ *    machine-independent measure of the packed lanes. Each loop's
+ *    output is checked bit-for-bit against the driver's.
  *  - explorer_grid_reference: the same grid evaluated the pre-
  *    evaluator way (SocSpec rebuild + GablesModel::evaluate per
  *    design) — the denominator of the reported speedups, measured in
@@ -33,8 +35,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <iostream>
 #include <string>
@@ -48,8 +53,10 @@
 #include "bench_util.h"
 #include "core/evaluator.h"
 #include "core/gables.h"
+#include "parallel/parallel_for.h"
 #include "util/atomic_file.h"
 #include "util/json_writer.h"
+#include "util/logging.h"
 #include "util/parse.h"
 #include "util/rng.h"
 
@@ -232,12 +239,57 @@ measureEvaluate8Ip(int reps)
     return best.result();
 }
 
+/** Bitwise equality, so the scalar loops pin the packed bits. */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/**
+ * Sweep::mixing one point at a time, as the drivers ran it before
+ * evaluation packs: normalization base, one evaluator compiled at
+ * the first fraction, and a serial parallelFor whose body calls a
+ * per-point function setFraction(0, 1 - f), setFraction(1, f),
+ * attainable() / base. Only the lane arithmetic differs from the
+ * packed driver, so the ratio measures the packs.
+ */
+std::vector<double>
+scalarMixing(const SocSpec &soc, double i0, double i1,
+             const std::vector<double> &fractions)
+{
+    auto usecase_for = [&](double f) {
+        std::vector<IpWork> work(soc.numIps());
+        work[0] = IpWork{1.0 - f, i0};
+        work[1] = IpWork{f, i1};
+        for (size_t i = 2; i < work.size(); ++i)
+            work[i] = IpWork{0.0, 1.0};
+        return Usecase("mixing", std::move(work));
+    };
+    const double base =
+        GablesEvaluator(soc, usecase_for(0.0)).attainable();
+    const std::function<double(GablesEvaluator &, double)> point =
+        [base](GablesEvaluator &ev, double f) {
+            ev.setFraction(0, 1.0 - f);
+            ev.setFraction(1, f);
+            return ev.attainable() / base;
+        };
+    GablesEvaluator ev(soc, usecase_for(fractions.front()));
+    std::vector<double> y(fractions.size());
+    parallel::ForOptions serial;
+    serial.jobs = 1;
+    parallel::parallelFor(
+        fractions.size(),
+        [&](size_t i, int) { y[i] = point(ev, fractions[i]); }, serial);
+    return y;
+}
+
 /**
  * A full serial Sweep::mixing grid (paper Figure 8 shape), measured
- * on the packed and scalar paths in alternating reps. Interleaving
- * matters: the packed-vs-scalar ratio gates CI, and pairing the reps
- * inside one window keeps scheduler/frequency drift from landing on
- * only one side of the ratio.
+ * through the packed driver and the scalar loop in alternating reps.
+ * Interleaving matters: the packed-vs-scalar ratio gates CI, and
+ * pairing the reps inside one window keeps scheduler/frequency drift
+ * from landing on only one side of the ratio.
  */
 void
 measureSweepMixing(int reps, Measurement &packed, Measurement &scalar)
@@ -248,20 +300,19 @@ measureSweepMixing(int reps, Measurement &packed, Measurement &scalar)
     fractions.reserve(kPoints);
     for (size_t i = 0; i < kPoints; ++i)
         fractions.push_back(static_cast<double>(i) / (kPoints - 1));
-    auto one = [&](BestOf &best) {
-        Clock::time_point t0 = Clock::now();
-        Series s = Sweep::mixing(soc, 8.0, 0.1, fractions, true, 1);
-        double seconds = secondsSince(t0);
-        benchmark::DoNotOptimize(s.y.back());
-        best.sample(seconds, kPoints);
-    };
     BestOf best_packed, best_scalar;
     for (int r = 0; r < reps; ++r) {
-        one(best_packed);
-        {
-            simd::ScopedEnable off(false);
-            one(best_scalar);
-        }
+        Clock::time_point t0 = Clock::now();
+        Series s = Sweep::mixing(soc, 8.0, 0.1, fractions, true, 1);
+        best_packed.sample(secondsSince(t0), kPoints);
+
+        t0 = Clock::now();
+        std::vector<double> y = scalarMixing(soc, 8.0, 0.1, fractions);
+        best_scalar.sample(secondsSince(t0), kPoints);
+
+        if (!std::equal(y.begin(), y.end(), s.y.begin(), s.y.end(),
+                        sameBits))
+            fatal("scalar mixing loop disagrees with Sweep::mixing");
     }
     packed = best_packed.result();
     scalar = best_scalar.result();
@@ -288,10 +339,104 @@ makeGridExplorer(std::vector<double> &bpeaks,
     return ex;
 }
 
-/** The explorer cross product through the compiled-evaluator engine,
- * with or without subgrid bound pruning. The rate is grid designs
- * per second of wall time, so pruning shows up as a higher rate.
- * When @p scalar is given, packed and scalar reps alternate inside
+/**
+ * The unpruned explorer grid one design at a time, as
+ * exploreFrontier() ran it before evaluation packs: subgrids of
+ * ExploreOptions::subgridSize designs dispatched one design per pool
+ * task; per design, the knob odometer (knob 0 = Bpeak fastest, a knob
+ * re-applied only when its digit changes), linear cost from scratch
+ * hardware arrays, and a per-design record; each subgrid merged into
+ * the Pareto set in enumeration order; and each frontier member
+ * re-evaluated into a SocSpec at the end. Only the lane arithmetic
+ * and its staging differ from the packed driver, so the ratio
+ * measures the packs. Returns the frontier sorted by ascending cost.
+ */
+std::vector<Candidate>
+scalarExplorerFrontier(const std::vector<double> &bpeaks,
+                       const std::vector<double> &accels)
+{
+    auto [soc, u] = synthetic(3, 23);
+    CostModel cost;
+    cost.costPerAcceleration = 1.0;
+    cost.costPerBpeak = 1e-9;
+    GablesEvaluator ev(soc, u);
+    double bpeak = soc.bpeak();
+    std::vector<IpSpec> ips = soc.ips();
+    const std::vector<double> *knobs[2] = {&bpeaks, &accels};
+    size_t digits[2] = {SIZE_MAX, SIZE_MAX};
+    auto applyDigits = [&](size_t flat) {
+        size_t rest = flat;
+        for (size_t k = 0; k < 2; ++k) {
+            const std::vector<double> &values = *knobs[k];
+            const size_t digit = rest % values.size();
+            rest /= values.size();
+            if (digits[k] == digit)
+                continue;
+            if (k == 0) {
+                ev.setBpeak(values[digit]);
+                bpeak = values[digit];
+            } else {
+                ev.setAcceleration(1, values[digit]);
+                ips[1].acceleration = values[digit];
+            }
+            digits[k] = digit;
+        }
+    };
+    struct Point {
+        size_t flat;
+        double minPerf;
+        double cost;
+    };
+    auto dominates = [](const Point &a, const Point &b) {
+        return a.minPerf >= b.minPerf && a.cost <= b.cost &&
+               (a.minPerf > b.minPerf || a.cost < b.cost);
+    };
+    std::vector<Point> incumbents;
+    const size_t total = bpeaks.size() * accels.size();
+    const size_t chunk = ExploreOptions{}.subgridSize;
+    parallel::ThreadPool pool(1);
+    std::vector<Point> points(chunk);
+    for (size_t lo = 0; lo < total; lo += chunk) {
+        const size_t hi = std::min(total, lo + chunk);
+        points.resize(hi - lo);
+        pool.forEach(hi - lo, [&](size_t i, int) {
+            Point &p = points[i];
+            p.flat = lo + i;
+            applyDigits(p.flat);
+            p.cost = cost.cost(bpeak, ips);
+            p.minPerf = ev.attainable();
+        });
+        for (const Point &p : points) {
+            if (std::any_of(incumbents.begin(), incumbents.end(),
+                            [&](const Point &c) {
+                                return dominates(c, p);
+                            }))
+                continue;
+            std::erase_if(incumbents, [&](const Point &c) {
+                return dominates(p, c);
+            });
+            incumbents.push_back(p);
+        }
+    }
+    std::vector<Candidate> out;
+    for (const Point &p : incumbents) {
+        applyDigits(p.flat);
+        SocSpec design(soc.name(), soc.ppeak(), bpeak, ips);
+        double perf = ev.attainable();
+        out.push_back(Candidate{design, perf, {perf},
+                                cost.cost(bpeak, ips), true});
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const Candidate &a, const Candidate &b) {
+                         return a.cost < b.cost;
+                     });
+    return out;
+}
+
+/** The explorer cross product through exploreFrontier(), with or
+ * without subgrid bound pruning. The rate is grid designs per second
+ * of wall time, so pruning shows up as a higher rate. When @p scalar
+ * is given, the unpruned scalar loop runs in alternating reps inside
  * the same window (see measureSweepMixing). */
 Measurement
 measureExplorerGrid(bool prune, int reps,
@@ -304,20 +449,29 @@ measureExplorerGrid(bool prune, int reps,
     opts.prune = prune;
     const uint64_t designs =
         static_cast<uint64_t>(bpeaks.size() * accels.size());
-    auto one = [&](BestOf &best) {
-        Clock::time_point t0 = Clock::now();
-        auto frontier = ex.exploreFrontier(opts);
-        double seconds = secondsSince(t0);
-        benchmark::DoNotOptimize(frontier.size());
-        best.sample(seconds, designs);
-    };
     BestOf best_packed, best_scalar;
     for (int r = 0; r < reps; ++r) {
-        one(best_packed);
-        if (scalar) {
-            simd::ScopedEnable off(false);
-            one(best_scalar);
-        }
+        Clock::time_point t0 = Clock::now();
+        auto frontier = ex.exploreFrontier(opts);
+        best_packed.sample(secondsSince(t0), designs);
+        if (!scalar)
+            continue;
+
+        t0 = Clock::now();
+        auto points = scalarExplorerFrontier(bpeaks, accels);
+        best_scalar.sample(secondsSince(t0), designs);
+
+        auto same = [](const Candidate &a, const Candidate &b) {
+            return sameBits(a.minPerf, b.minPerf) &&
+                   sameBits(a.cost, b.cost) &&
+                   sameBits(a.soc.bpeak(), b.soc.bpeak()) &&
+                   sameBits(a.soc.ip(1).acceleration,
+                            b.soc.ip(1).acceleration);
+        };
+        if (!std::equal(points.begin(), points.end(), frontier.begin(),
+                        frontier.end(), same))
+            fatal("scalar explorer loop disagrees with "
+                  "exploreFrontier()");
     }
     if (scalar)
         *scalar = best_scalar.result();
@@ -392,8 +546,8 @@ runManual(const std::string &json_path, int reps)
     // first-touch costs.
     measureEvaluate8Ip(1);
 
-    // The grid workloads run the packed path and the scalar
-    // reference path in alternating reps of the same window: the
+    // The grid workloads run the packed drivers and their scalar
+    // loops in alternating reps of the same window: the
     // packed-vs-scalar ratio cancels machine speed the same way
     // explorer_grid_reference does for the evaluator, and the
     // interleave keeps drift off the ratio.
@@ -431,8 +585,7 @@ runManual(const std::string &json_path, int reps)
               << "x mixing sweep, "
               << formatDouble(speedup_grid_simd, 1)
               << "x explorer grid (lane width "
-              << (simd::enabled() ? GablesEvalPack::kWidth : 1)
-              << ")\n";
+              << GablesEvalPack::kWidth << ")\n";
 
     std::ostringstream out;
     JsonWriter json(out);
@@ -445,14 +598,7 @@ runManual(const std::string &json_path, int reps)
     json.kv("reps", reps);
     json.key("config");
     json.beginObject();
-    json.kv("lane_width",
-            simd::enabled()
-                ? static_cast<size_t>(GablesEvalPack::kWidth)
-                : static_cast<size_t>(1));
-    json.kv("simd_compiled",
-            static_cast<size_t>(simd::kCompiledIn ? 1 : 0));
-    json.kv("simd_enabled",
-            static_cast<size_t>(simd::enabled() ? 1 : 0));
+    json.kv("lane_width", GablesEvalPack::kWidth);
     json.endObject();
     json.key("workloads");
     json.beginObject();

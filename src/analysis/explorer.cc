@@ -6,6 +6,7 @@
 
 #include "telemetry/span.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace gables {
 
@@ -96,8 +97,18 @@ size_t
 DesignExplorer::gridSize() const
 {
     size_t total = 1;
-    for (const Knob &knob : knobs_)
-        total *= knob.values.size();
+    for (size_t k = 0; k < knobs_.size(); ++k) {
+        const size_t radix = knobs_[k].values.size();
+        if (__builtin_mul_overflow(total, radix, &total))
+            configError(SourceLoc{"explore", 0},
+                        "design grid too large: sweep " +
+                            std::to_string(k + 1) + " (" +
+                            std::to_string(radix) +
+                            " values) takes the product of value "
+                            "counts past " +
+                            std::to_string(
+                                std::numeric_limits<size_t>::max()));
+    }
     return total;
 }
 
@@ -311,24 +322,20 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
         states.push_back(makeWorkerState());
     WorkerState probe = prune ? makeWorkerState() : WorkerState{};
 
-    // Packed grid path: each worker carries one pack per usecase and
+    // Packed grid: each worker carries one pack per usecase and
     // evaluates kWidth designs per pass. Each lane reproduces the
-    // scalar per-design mutation sequence bit-for-bit, and the
-    // min-across-usecases reduction visits usecases in the same
-    // order, so frontiers and eval counters are identical.
-    const bool packed = simd::enabled();
-    if (packed) {
-        for (WorkerState &ws : states) {
-            ws.packs.reserve(ws.evaluators.size());
-            for (const GablesEvaluator &ev : ws.evaluators)
-                ws.packs.emplace_back(ev);
-            // "No digit applied yet" sentinels, as in
-            // makeWorkerState(): the first pack stages every knob on
-            // every lane.
-            ws.laneDigits.assign(GablesEvalPack::kWidth * n_knobs,
-                                 std::numeric_limits<size_t>::max());
-            ws.curDigits.assign(n_knobs, 0);
-        }
+    // per-design mutation sequence of applyDigits() bit-for-bit, and
+    // the min-across-usecases reduction visits usecases in the same
+    // order, so frontiers match explore() exactly.
+    for (WorkerState &ws : states) {
+        ws.packs.reserve(ws.evaluators.size());
+        for (const GablesEvaluator &ev : ws.evaluators)
+            ws.packs.emplace_back(ev);
+        // "No digit applied yet" sentinels, as in makeWorkerState():
+        // the first pack stages every knob on every lane.
+        ws.laneDigits.assign(GablesEvalPack::kWidth * n_knobs,
+                             std::numeric_limits<size_t>::max());
+        ws.curDigits.assign(n_knobs, 0);
     }
 
     // Flat-index stride of each knob (knob 0 varies fastest).
@@ -463,92 +470,69 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
 
         GABLES_SPAN("explore.grid");
         chunk_points.resize(hi - lo);
-        if (packed) {
-            // One loop index = one pack of consecutive flat indices.
-            constexpr size_t W = GablesEvalPack::kWidth;
-            const size_t npacks = (hi - lo + W - 1) / W;
-            pool.forEach(npacks, [&](size_t pi, int worker) {
-                WorkerState &ws =
-                    states[static_cast<size_t>(worker)];
-                const size_t p0 = lo + pi * W;
-                const size_t cnt = std::min(W, hi - p0);
-                // Decompose the pack's first flat index once; the
-                // remaining lanes advance the digit odometer by one
-                // step each instead of re-dividing per lane.
-                size_t rest = p0;
-                for (size_t k = 0; k < n_knobs; ++k) {
-                    ws.curDigits[k] = rest % knobs_[k].values.size();
-                    rest /= knobs_[k].values.size();
-                }
-                for (size_t w = 0; w < cnt; ++w) {
-                    if (w != 0) {
-                        for (size_t k = 0; k < n_knobs; ++k) {
-                            if (++ws.curDigits[k] <
-                                knobs_[k].values.size())
-                                break;
-                            ws.curDigits[k] = 0;
-                        }
-                    }
-                    // Stage each knob in registration order, skipping
-                    // digits the lane already carries — the same
-                    // unchanged-digit skip the scalar applyDigits()
-                    // performs, and gated off by the same
-                    // `incremental` flag when knobs share a model
-                    // term (later knobs must then win by
-                    // re-application, identically to the scalar
-                    // non-incremental path).
-                    size_t *lane_digits =
-                        ws.laneDigits.data() + w * n_knobs;
+        // One loop index = one pack of consecutive flat indices.
+        constexpr size_t W = GablesEvalPack::kWidth;
+        const size_t npacks = (hi - lo + W - 1) / W;
+        pool.forEach(npacks, [&](size_t pi, int worker) {
+            WorkerState &ws = states[static_cast<size_t>(worker)];
+            const size_t p0 = lo + pi * W;
+            const size_t cnt = std::min(W, hi - p0);
+            // Decompose the pack's first flat index once; the
+            // remaining lanes advance the digit odometer by one step
+            // each instead of re-dividing per lane.
+            size_t rest = p0;
+            for (size_t k = 0; k < n_knobs; ++k) {
+                ws.curDigits[k] = rest % knobs_[k].values.size();
+                rest /= knobs_[k].values.size();
+            }
+            for (size_t w = 0; w < cnt; ++w) {
+                if (w != 0) {
                     for (size_t k = 0; k < n_knobs; ++k) {
-                        const Knob &knob = knobs_[k];
-                        const size_t digit = ws.curDigits[k];
-                        if (!ws.incremental ||
-                            lane_digits[k] != digit) {
-                            const double v = knob.values[digit];
-                            for (GablesEvalPack &pack : ws.packs)
-                                applyKnobLane(pack, w, knob, v);
-                            lane_digits[k] = digit;
-                        }
+                        if (++ws.curDigits[k] < knobs_[k].values.size())
+                            break;
+                        ws.curDigits[k] = 0;
                     }
                 }
-                for (GablesEvalPack &pack : ws.packs)
-                    pack.run(cnt);
-                // Linear cost from the pack's own parameter rows:
-                // the per-lane sums reduce in IP index order, so
-                // cost bits match CostModel::cost() on the scratch
-                // hardware arrays the scalar path maintains.
-                double sum_a[W];
-                double sum_b[W];
-                ws.packs.front().paramSums(sum_a, sum_b);
-                const GablesEvalPack &hw = ws.packs.front();
-                for (size_t w = 0; w < cnt; ++w) {
-                    double min_perf = kInf;
-                    for (GablesEvalPack &pack : ws.packs)
-                        min_perf =
-                            std::min(min_perf, pack.attainable(w));
-                    Point &p = chunk_points[p0 - lo + w];
-                    p.flat = p0 + w;
-                    p.minPerf = min_perf;
-                    p.cost =
-                        cost_.costPerAcceleration * sum_a[w] +
-                        cost_.costPerBpeak * hw.bpeak(w) +
-                        cost_.costPerIpBandwidth * sum_b[w];
+                // Stage each knob in registration order, skipping
+                // digits the lane already carries — the same
+                // unchanged-digit skip applyDigits() performs, and
+                // gated off by the same `incremental` flag when
+                // knobs share a model term (later knobs must then
+                // win by re-application).
+                size_t *lane_digits = ws.laneDigits.data() + w * n_knobs;
+                for (size_t k = 0; k < n_knobs; ++k) {
+                    const Knob &knob = knobs_[k];
+                    const size_t digit = ws.curDigits[k];
+                    if (!ws.incremental || lane_digits[k] != digit) {
+                        const double v = knob.values[digit];
+                        for (GablesEvalPack &pack : ws.packs)
+                            applyKnobLane(pack, w, knob, v);
+                        lane_digits[k] = digit;
+                    }
                 }
-            });
-        } else {
-            pool.forEach(hi - lo, [&](size_t i, int worker) {
-                WorkerState &ws =
-                    states[static_cast<size_t>(worker)];
-                Point &p = chunk_points[i];
-                p.flat = lo + i;
-                applyDigits(ws, p.flat);
-                p.cost = cost_.cost(ws.bpeak, ws.ips);
+            }
+            for (GablesEvalPack &pack : ws.packs)
+                pack.run(cnt);
+            // Linear cost from the pack's own parameter rows: the
+            // per-lane sums reduce in IP index order, so cost bits
+            // match CostModel::cost() on the hardware arrays
+            // applyDigits() maintains.
+            double sum_a[W];
+            double sum_b[W];
+            ws.packs.front().paramSums(sum_a, sum_b);
+            const GablesEvalPack &hw = ws.packs.front();
+            for (size_t w = 0; w < cnt; ++w) {
                 double min_perf = kInf;
-                for (GablesEvaluator &ev : ws.evaluators)
-                    min_perf = std::min(min_perf, ev.attainable());
+                for (GablesEvalPack &pack : ws.packs)
+                    min_perf = std::min(min_perf, pack.attainable(w));
+                Point &p = chunk_points[p0 - lo + w];
+                p.flat = p0 + w;
                 p.minPerf = min_perf;
-            });
-        }
+                p.cost = cost_.costPerAcceleration * sum_a[w] +
+                         cost_.costPerBpeak * hw.bpeak(w) +
+                         cost_.costPerIpBandwidth * sum_b[w];
+            }
+        });
         const std::vector<double> &busy = pool.busySeconds();
         for (size_t w = 0;
              w < busy.size() && w < st.forStats.busySeconds.size(); ++w)

@@ -155,7 +155,11 @@ class DesignExplorer
     exploreFrontier(const ExploreOptions &options = {},
                     ExploreStats *stats = nullptr) const;
 
-    /** @return Number of candidate designs explore() will evaluate. */
+    /**
+     * @return Number of candidate designs explore() will evaluate.
+     * @throws ConfigError when the product of knob value counts does
+     *         not fit in size_t.
+     */
     size_t gridSize() const;
 
     /** @return Only the Pareto frontier, sorted by ascending cost. */
@@ -181,16 +185,16 @@ class DesignExplorer
     struct WorkerState {
         std::vector<GablesEvaluator> evaluators;
         /** Packed mirrors of `evaluators` (one pack per usecase),
-         * populated only when exploreFrontier() runs the packed grid
-         * path; each pack lane holds one design of a pack. */
+         * populated by exploreFrontier(); each pack lane holds one
+         * design of a pack. */
         std::vector<GablesEvalPack> packs;
         /** Last digits applied to each pack lane, [lane][knob] flat —
          * the packed grid's analogue of `digits`, letting a lane skip
          * knobs whose digit it already carries (consecutive packs
          * move a lane by kWidth flat indices, which typically changes
-         * only the low knob digits). Packed path only. */
+         * only the low knob digits). */
         std::vector<size_t> laneDigits;
-        /** Packed-path scratch: the digits of the lane currently
+        /** Pack scratch: the digits of the lane currently
          * being staged (decomposed once per pack, then advanced
          * odometer-style per lane). */
         std::vector<size_t> curDigits;

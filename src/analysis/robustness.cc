@@ -21,9 +21,10 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
         !(options.fractionJitter >= 1.0))
         fatal("jitter factors must be >= 1");
 
-    // One compiled evaluator serves the nominal point and every
-    // Monte-Carlo sample; each sample overwrites the per-IP work
-    // terms in place instead of constructing a Usecase.
+    // One compiled evaluator serves the nominal point, and one pack
+    // broadcast from it evaluates the Monte-Carlo samples kWidth per
+    // pass. Each sample overwrites every IP's work terms in place,
+    // so lanes never leak state between passes.
     GablesEvaluator ev(soc, usecase);
 
     RobustnessReport report;
@@ -36,78 +37,53 @@ Robustness::analyze(const SocSpec &soc, const Usecase &usecase,
     std::map<int, int> bottleneck_counts;
     int meets = 0;
 
+    constexpr size_t W = GablesEvalPack::kWidth;
     const size_t n = usecase.numIps();
     std::vector<double> fractions(n, 0.0);
     std::vector<double> intensities(n, 1.0);
-    GablesResult scratch;
-
-    // One perturbed sample's work terms, drawn in sample-major,
-    // IP-minor order — the packed path batches samples but consumes
-    // the RNG stream in exactly this order, so both paths see
-    // identical draws.
-    auto drawSample = [&]() {
-        double sum = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-            const IpWork &w = usecase.at(i);
-            if (w.fraction == 0.0) {
-                fractions[i] = 0.0;
-                intensities[i] = 1.0;
-                continue;
+    GablesEvalPack pack(ev);
+    const size_t samples = static_cast<size_t>(options.samples);
+    for (size_t s0 = 0; s0 < samples; s0 += W) {
+        const size_t cnt = std::min(W, samples - s0);
+        for (size_t lane = 0; lane < cnt; ++lane) {
+            // Draws run sample-major, IP-minor, so the RNG stream
+            // does not depend on the pack width.
+            double sum = 0.0;
+            for (size_t i = 0; i < n; ++i) {
+                const IpWork &w = usecase.at(i);
+                if (w.fraction == 0.0) {
+                    fractions[i] = 0.0;
+                    intensities[i] = 1.0;
+                    continue;
+                }
+                double f_scale =
+                    options.fractionJitter == 1.0
+                        ? 1.0
+                        : rng.logUniform(1.0 / options.fractionJitter,
+                                         options.fractionJitter);
+                double i_scale =
+                    options.intensityJitter == 1.0
+                        ? 1.0
+                        : rng.logUniform(1.0 / options.intensityJitter,
+                                         options.intensityJitter);
+                intensities[i] = std::isinf(w.intensity)
+                                     ? w.intensity
+                                     : w.intensity * i_scale;
+                fractions[i] = w.fraction * f_scale;
+                sum += fractions[i];
             }
-            double f_scale =
-                options.fractionJitter == 1.0
-                    ? 1.0
-                    : rng.logUniform(1.0 / options.fractionJitter,
-                                     options.fractionJitter);
-            double i_scale =
-                options.intensityJitter == 1.0
-                    ? 1.0
-                    : rng.logUniform(1.0 / options.intensityJitter,
-                                     options.intensityJitter);
-            intensities[i] = std::isinf(w.intensity)
-                                 ? w.intensity
-                                 : w.intensity * i_scale;
-            fractions[i] = w.fraction * f_scale;
-            sum += fractions[i];
-        }
-        GABLES_ASSERT(sum > 0.0, "perturbation removed all work");
-        return sum;
-    };
-    auto recordSample = [&](double attainable, int bottleneck_ip) {
-        perf.push_back(attainable);
-        bottleneck_counts[bottleneck_ip]++;
-        if (options.target > 0.0 && attainable >= options.target)
-            ++meets;
-    };
-
-    if (simd::enabled()) {
-        // Packed Monte-Carlo: kWidth samples per pass. Every lane's
-        // work terms are fully overwritten per sample (all n IPs),
-        // so lanes never leak state between passes.
-        constexpr size_t W = GablesEvalPack::kWidth;
-        GablesEvalPack pack(ev);
-        const size_t samples = static_cast<size_t>(options.samples);
-        for (size_t s0 = 0; s0 < samples; s0 += W) {
-            const size_t cnt = std::min(W, samples - s0);
-            for (size_t w = 0; w < cnt; ++w) {
-                double sum = drawSample();
-                for (size_t i = 0; i < n; ++i)
-                    pack.setWork(w, i, fractions[i] / sum,
-                                 intensities[i]);
-            }
-            pack.run(cnt);
-            for (size_t w = 0; w < cnt; ++w)
-                recordSample(pack.attainable(w),
-                             pack.bottleneckIp(w));
-        }
-    } else {
-        for (int s = 0; s < options.samples; ++s) {
-            double sum = drawSample();
+            GABLES_ASSERT(sum > 0.0, "perturbation removed all work");
             for (size_t i = 0; i < n; ++i)
-                ev.setWork(i, fractions[i] / sum, intensities[i]);
-
-            ev.evaluate(scratch);
-            recordSample(scratch.attainable, scratch.bottleneckIp);
+                pack.setWork(lane, i, fractions[i] / sum,
+                             intensities[i]);
+        }
+        pack.run(cnt);
+        for (size_t lane = 0; lane < cnt; ++lane) {
+            const double attainable = pack.attainable(lane);
+            perf.push_back(attainable);
+            bottleneck_counts[pack.bottleneckIp(lane)]++;
+            if (options.target > 0.0 && attainable >= options.target)
+                ++meets;
         }
     }
 

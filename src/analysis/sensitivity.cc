@@ -63,23 +63,42 @@ applyProbeLane(GablesEvalPack &pack, size_t lane, const Probe &p,
     }
 }
 
-/**
- * Packed probe evaluation: two lanes per probe (the up and down
- * perturbations), kWidth/2 probes per pass. Each lane is the base
- * state plus one mutation — exactly the state the scalar probe
- * lambda evaluates before restoring — and the elasticity arithmetic
- * below is the same expression elasticity() computes, so entries are
- * bit-identical to the scalar path.
- */
+} // namespace
+
 std::vector<SensitivityEntry>
-analyzePacked(const std::vector<Probe> &probes,
-              GablesEvaluator &base, double rel_step)
+Sensitivity::analyze(const SocSpec &soc, const Usecase &usecase,
+                     double rel_step)
 {
-    constexpr size_t W = GablesEvalPack::kWidth;
-    constexpr size_t kPerPack = W / 2;
+    GABLES_SPAN("sensitivity.analyze");
+    std::vector<Probe> probes;
+    probes.reserve(2 * soc.numIps() + 1 + usecase.numIps());
+    probes.push_back({"Ppeak", Probe::Kind::Ppeak, 0, soc.ppeak()});
+    probes.push_back({"Bpeak", Probe::Kind::Bpeak, 0, soc.bpeak()});
+    for (size_t i = 1; i < soc.numIps(); ++i)
+        probes.push_back({"A[" + std::to_string(i) + "]",
+                          Probe::Kind::Acceleration, i,
+                          soc.ip(i).acceleration});
+    for (size_t i = 0; i < soc.numIps(); ++i)
+        probes.push_back({"B[" + std::to_string(i) + "]",
+                          Probe::Kind::IpBandwidth, i,
+                          soc.ip(i).bandwidth});
+    for (size_t i = 0; i < usecase.numIps(); ++i) {
+        const IpWork &w = usecase.at(i);
+        if (w.fraction == 0.0 || std::isinf(w.intensity))
+            continue;
+        probes.push_back({"I[" + std::to_string(i) + "]",
+                          Probe::Kind::Intensity, i, w.intensity});
+    }
+
+    // Two lanes per probe (the up and down perturbations), kWidth/2
+    // probes per pass. Each lane is the compiled base state plus one
+    // mutation, and the arithmetic is the same expression
+    // elasticity() computes, so entries are bit-identical to
+    // elasticity() over GablesModel::evaluate().
+    constexpr size_t kPerPack = GablesEvalPack::kWidth / 2;
     std::vector<SensitivityEntry> entries;
     entries.reserve(probes.size());
-
+    GablesEvaluator base(soc, usecase);
     GablesEvalPack pack(base);
     std::array<double, kPerPack> ups{};
     std::array<double, kPerPack> downs{};
@@ -110,117 +129,6 @@ analyzePacked(const std::vector<Probe> &probes,
                  (std::log(perf_up) - std::log(perf_down)) /
                      (std::log(ups[j]) - std::log(downs[j]))});
         }
-    }
-    return entries;
-}
-
-} // namespace
-
-std::vector<SensitivityEntry>
-Sensitivity::analyze(const SocSpec &soc, const Usecase &usecase,
-                     double rel_step)
-{
-    GABLES_SPAN("sensitivity.analyze");
-    std::vector<SensitivityEntry> entries;
-    entries.reserve(2 * soc.numIps() + 1 + usecase.numIps());
-
-    // One compiled evaluator serves every probe: each lambda sets the
-    // probed parameter, evaluates, and restores the base value, so
-    // only the touched timing lanes are ever recomputed.
-    GablesEvaluator ev(soc, usecase);
-
-    if (simd::enabled()) {
-        // Probe list in the exact order the scalar path emits.
-        std::vector<Probe> probes;
-        probes.reserve(2 * soc.numIps() + 1 + usecase.numIps());
-        probes.push_back(
-            {"Ppeak", Probe::Kind::Ppeak, 0, soc.ppeak()});
-        probes.push_back(
-            {"Bpeak", Probe::Kind::Bpeak, 0, soc.bpeak()});
-        for (size_t i = 1; i < soc.numIps(); ++i)
-            probes.push_back({"A[" + std::to_string(i) + "]",
-                              Probe::Kind::Acceleration, i,
-                              soc.ip(i).acceleration});
-        for (size_t i = 0; i < soc.numIps(); ++i)
-            probes.push_back({"B[" + std::to_string(i) + "]",
-                              Probe::Kind::IpBandwidth, i,
-                              soc.ip(i).bandwidth});
-        for (size_t i = 0; i < usecase.numIps(); ++i) {
-            const IpWork &w = usecase.at(i);
-            if (w.fraction == 0.0 || std::isinf(w.intensity))
-                continue;
-            probes.push_back({"I[" + std::to_string(i) + "]",
-                              Probe::Kind::Intensity, i,
-                              w.intensity});
-        }
-        return analyzePacked(probes, ev, rel_step);
-    }
-
-    entries.push_back(
-        {"Ppeak", elasticity(
-                      soc.ppeak(),
-                      [&](double v) {
-                          ev.setPpeak(v);
-                          double p = ev.attainable();
-                          ev.setPpeak(soc.ppeak());
-                          return p;
-                      },
-                      rel_step)});
-
-    entries.push_back(
-        {"Bpeak", elasticity(
-                      soc.bpeak(),
-                      [&](double v) {
-                          ev.setBpeak(v);
-                          double p = ev.attainable();
-                          ev.setBpeak(soc.bpeak());
-                          return p;
-                      },
-                      rel_step)});
-
-    for (size_t i = 1; i < soc.numIps(); ++i) {
-        entries.push_back(
-            {"A[" + std::to_string(i) + "]",
-             elasticity(
-                 soc.ip(i).acceleration,
-                 [&](double v) {
-                     ev.setAcceleration(i, v);
-                     double p = ev.attainable();
-                     ev.setAcceleration(i, soc.ip(i).acceleration);
-                     return p;
-                 },
-                 rel_step)});
-    }
-
-    for (size_t i = 0; i < soc.numIps(); ++i) {
-        entries.push_back(
-            {"B[" + std::to_string(i) + "]",
-             elasticity(
-                 soc.ip(i).bandwidth,
-                 [&](double v) {
-                     ev.setIpBandwidth(i, v);
-                     double p = ev.attainable();
-                     ev.setIpBandwidth(i, soc.ip(i).bandwidth);
-                     return p;
-                 },
-                 rel_step)});
-    }
-
-    for (size_t i = 0; i < usecase.numIps(); ++i) {
-        const IpWork &w = usecase.at(i);
-        if (w.fraction == 0.0 || std::isinf(w.intensity))
-            continue;
-        entries.push_back(
-            {"I[" + std::to_string(i) + "]",
-             elasticity(
-                 w.intensity,
-                 [&](double v) {
-                     ev.setIntensity(i, v);
-                     double p = ev.attainable();
-                     ev.setIntensity(i, w.intensity);
-                     return p;
-                 },
-                 rel_step)});
     }
     return entries;
 }

@@ -1592,7 +1592,7 @@ void
 usage(std::ostream &out)
 {
     out << "usage: gables [--log-level L] [--profile] "
-           "[--record PATH] [--no-simd] <command> [options]\n"
+           "[--record PATH] <command> [options]\n"
            "commands:\n"
            "  eval        evaluate a usecase on a SoC\n"
            "  sweep       mixing sweep over the work fraction\n"
@@ -1625,9 +1625,6 @@ usage(std::ostream &out)
            "  --record PATH  record this invocation (argv, config\n"
            "                 files, RunReport) into a replay bundle\n"
            "                 at PATH; outputs are unchanged\n"
-           "  --no-simd      evaluate grids one point at a time on\n"
-           "                 the scalar reference path (outputs are\n"
-           "                 bit-identical; only speed changes)\n"
            "exit codes: 0 success, 1 data/config error, 2 usage "
            "error (see docs/ERRORS.md)\n"
            "run 'gables <command> --help' for per-command options\n";

@@ -1,7 +1,6 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -272,42 +271,6 @@ GablesEvaluator::evaluate()
     evaluate(out);
     return out;
 }
-
-namespace simd {
-
-namespace {
-
-#ifndef GABLES_DISABLE_SIMD
-// Relaxed is enough: the flag is set once at process startup (or by a
-// scoped guard on one thread); drivers only read it to pick a path,
-// and both paths produce identical bits anyway.
-std::atomic<bool> g_enabled{true};
-#endif
-
-} // namespace
-
-bool
-enabled()
-{
-#ifdef GABLES_DISABLE_SIMD
-    return false;
-#else
-    return g_enabled.load(std::memory_order_relaxed);
-#endif
-}
-
-bool
-setEnabled(bool on)
-{
-#ifdef GABLES_DISABLE_SIMD
-    (void)on;
-    return false;
-#else
-    return g_enabled.exchange(on, std::memory_order_relaxed);
-#endif
-}
-
-} // namespace simd
 
 GablesEvalPack::GablesEvalPack(const GablesEvaluator &base)
 {

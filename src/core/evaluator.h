@@ -37,59 +37,6 @@
 namespace gables {
 
 /**
- * Build/runtime switches for the packed (SIMD-batched) evaluation
- * path. The packed path is bit-identical to the scalar path, so the
- * toggle exists for verification (A/B in tests and benches) and as an
- * escape hatch, not because results differ.
- */
-namespace simd {
-
-/** Lanes per evaluation pack (grid points evaluated per pass). */
-#ifdef GABLES_PACK_WIDTH
-inline constexpr size_t kPackWidth = GABLES_PACK_WIDTH;
-#else
-inline constexpr size_t kPackWidth = 8;
-#endif
-static_assert(kPackWidth >= 2 && (kPackWidth & (kPackWidth - 1)) == 0,
-              "pack width must be a power of two >= 2");
-
-/** False when built with -DGABLES_DISABLE_SIMD=ON. */
-#ifdef GABLES_DISABLE_SIMD
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
-/**
- * @return Whether grid drivers should dispatch to the packed path.
- * Always false when the path is compiled out.
- */
-bool enabled();
-
-/**
- * Toggle the packed path at runtime (the `--no-simd` global CLI
- * flag). Ignored — pinned false — when compiled out.
- *
- * @return The previous setting.
- */
-bool setEnabled(bool on);
-
-/** RAII toggle for A/B measurement in tests and benches. */
-class ScopedEnable
-{
-  public:
-    explicit ScopedEnable(bool on) : prev_(setEnabled(on)) {}
-    ~ScopedEnable() { setEnabled(prev_); }
-    ScopedEnable(const ScopedEnable &) = delete;
-    ScopedEnable &operator=(const ScopedEnable &) = delete;
-
-  private:
-    bool prev_;
-};
-
-} // namespace simd
-
-/**
  * A precompiled (SocSpec, Usecase) pair with cheap single-parameter
  * mutators and allocation-free evaluation.
  */
@@ -213,7 +160,7 @@ class GablesEvaluator
 };
 
 /**
- * A pack of simd::kPackWidth independent model evaluations batched
+ * A pack of kWidth (8) independent model evaluations batched
  * for auto-vectorization.
  *
  * Where GablesEvaluator lays out one grid point as per-IP arrays,
@@ -241,8 +188,9 @@ class GablesEvaluator
 class GablesEvalPack
 {
   public:
-    /** Lanes per pack. */
-    static constexpr size_t kWidth = simd::kPackWidth;
+    /** Lanes per pack: a row of 8 doubles fills one cache line and
+     * two AVX2 (or one AVX-512) vectors per inner loop. */
+    static constexpr size_t kWidth = 8;
 
     /** Compile a pack with every lane a copy of @p base. */
     explicit GablesEvalPack(const GablesEvaluator &base);
@@ -371,8 +319,9 @@ class GablesEvalPack
      * — one call stages a whole grid-point batch, which is how the
      * sweep drivers feed packs. Validation is identical to the
      * per-lane mutators, applied in lane order (the first invalid
-     * lane produces the same fatal() the scalar sweep would hit at
-     * that grid point). Lanes >= cnt keep their previous values.
+     * lane produces the same fatal() a GablesEvaluator mutator
+     * would raise for that grid point). Lanes >= cnt keep their
+     * previous values.
      */
     /** @{ */
     void setFractionRow(size_t i, const double *fractions,
@@ -394,8 +343,8 @@ class GablesEvalPack
      * not counted.
      *
      * @param activeLanes Number of lanes carrying real grid points;
-     *        added to evalCount() so telemetry totals match the
-     *        scalar path exactly.
+     *        added to evalCount() so telemetry totals count one
+     *        evaluation per grid point.
      */
     void run(size_t activeLanes);
 
@@ -410,7 +359,7 @@ class GablesEvalPack
      * Per-lane sums of the acceleration and link-bandwidth rows,
      * each accumulated in IP index order — the order
      * CostModel::cost() visits the IPs, so a linear cost computed
-     * from these sums matches the scalar loop bit-for-bit. Reads the
+     * from these sums matches CostModel::cost() bit-for-bit. Reads the
      * staged parameters directly (no run() required).
      *
      * @param accelSums Out: kWidth sums of Ai per lane.

@@ -9,8 +9,9 @@
  *  - "ping"     liveness probe.
  *  - "eval"     evaluate a (SocSpec, Usecase) pair — served from the
  *               compiled-evaluator LRU cache on repeat pairs.
- *  - "sweep"    sweep one model parameter over a value list on the
- *               cached evaluator (values restored afterwards).
+ *  - "sweep"    sweep one model parameter over a value list, on a
+ *               pack broadcast from the cached evaluator (the cached
+ *               entry itself is never mutated).
  *  - "explore"  enumerate a design grid and return the Pareto
  *               frontier (DesignExplorer::exploreFrontier).
  *  - "advise"   ranked improvement moves (Advisor::advise).

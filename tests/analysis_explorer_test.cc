@@ -15,6 +15,7 @@
 #include "core/evaluator.h"
 #include "soc/catalog.h"
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace gables {
@@ -179,6 +180,33 @@ TEST(Explorer, InvalidInputsRejected)
     EXPECT_THROW(ex.sweepAcceleration(0, {2.0}), FatalError);
 }
 
+TEST(Explorer, GridSizeOverflowIsLocatedConfigError)
+{
+    SocSpec base = SocCatalog::paperTwoIp();
+    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
+    DesignExplorer ex(base, {u}, simpleCost());
+    std::vector<double> values;
+    for (int v = 1; v <= 16; ++v)
+        values.push_back(v * 1e9);
+    // 16^15 = 2^60 still fits; the 16th knob makes 2^64, one past
+    // size_t, which used to wrap to a grid size of 0.
+    for (int k = 0; k < 15; ++k)
+        ex.sweepBpeak(values);
+    EXPECT_EQ(ex.gridSize(), size_t{1} << 60);
+    ex.sweepBpeak(values);
+    try {
+        (void)ex.gridSize();
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &err) {
+        EXPECT_EQ(err.where().file, "explore");
+        EXPECT_NE(err.message().find("sweep 16 (16 values)"),
+                  std::string::npos)
+            << err.what();
+    }
+    EXPECT_THROW(ex.exploreFrontier(), ConfigError);
+    EXPECT_THROW(ex.explore(), ConfigError);
+}
+
 // ---------------------------------------------------------------
 // exploreFrontier(): the pruned fast path must reproduce
 // frontier(explore()) exactly — member set, every field, and order.
@@ -337,9 +365,13 @@ TEST(ExploreFrontier, RandomizedGridsMatchUnpruned)
         auto reference = DesignExplorer::frontier(ex.explore());
         ExploreOptions opts;
         opts.subgridSize = static_cast<size_t>(rng.uniformInt(4, 96));
-        auto fast = ex.exploreFrontier(opts);
-        expectSameFrontier(fast, reference,
-                           "seed " + std::to_string(seed));
+        for (bool prune : {true, false}) {
+            opts.prune = prune;
+            auto fast = ex.exploreFrontier(opts);
+            expectSameFrontier(fast, reference,
+                               "seed " + std::to_string(seed) +
+                                   (prune ? " pruned" : " unpruned"));
+        }
     }
 }
 
@@ -365,31 +397,6 @@ TEST(ExploreFrontier, DuplicateKnobTargetsFallBack)
     expectSameFrontier(fast, reference, "duplicate knobs");
     EXPECT_EQ(stats.subgridsSkipped, 0u);
     EXPECT_EQ(stats.evalsPruned, 0u);
-}
-
-TEST(ExploreFrontier, PackedToggleIsByteIdentical)
-{
-    // Direct A/B across the runtime toggle: the packed grid path
-    // (incremental lane digits + pack-side cost sums) and the scalar
-    // path must return identical frontiers, pruned and unpruned. The
-    // grid width (64) is not a multiple of the pack width times the
-    // subgrid stride, so partial packs are exercised too.
-    DesignExplorer ex = gridExplorer();
-    for (bool prune : {true, false}) {
-        ExploreOptions opts;
-        opts.prune = prune;
-        auto packed = [&] {
-            simd::ScopedEnable on(true);
-            return ex.exploreFrontier(opts);
-        }();
-        auto scalar = [&] {
-            simd::ScopedEnable off(false);
-            return ex.exploreFrontier(opts);
-        }();
-        expectSameFrontier(packed, scalar,
-                           prune ? "toggle pruned"
-                                 : "toggle unpruned");
-    }
 }
 
 TEST(ExploreFrontier, StatsAccounting)

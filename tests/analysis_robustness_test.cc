@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "analysis/robustness.h"
+#include "core/gables.h"
+#include "util/rng.h"
 #include "soc/catalog.h"
 #include "util/logging.h"
 
@@ -128,6 +133,70 @@ TEST(Robustness, InvalidOptionsRejected)
     opts.samples = 10;
     opts.intensityJitter = 0.5;
     EXPECT_THROW(Robustness::analyze(soc, u, opts), FatalError);
+}
+
+// analyze() evaluates samples on packs; its report must equal, bit
+// for bit, one GablesModel::evaluate() per sample on a rebuilt
+// usecase drawn from the same RNG stream. 203 samples end in a
+// partial pack.
+TEST(Robustness, MatchesPerSampleModelLoopBitwise)
+{
+    SocSpec soc = SocCatalog::snapdragon835();
+    Usecase u("u", {IpWork{0.2, 4.0}, IpWork{0.7, 8.0},
+                    IpWork{0.1, 1.0}});
+    Robustness::Options opts;
+    opts.samples = 203;
+    opts.seed = 7;
+    opts.target = GablesModel::evaluate(soc, u).attainable;
+    RobustnessReport r = Robustness::analyze(soc, u, opts);
+
+    Rng rng(opts.seed);
+    std::vector<double> perf;
+    std::map<int, int> bottlenecks;
+    int meets = 0;
+    for (int s = 0; s < opts.samples; ++s) {
+        std::vector<IpWork> work(u.numIps());
+        double sum = 0.0;
+        for (size_t i = 0; i < u.numIps(); ++i) {
+            double f_scale = rng.logUniform(1.0 / opts.fractionJitter,
+                                            opts.fractionJitter);
+            double i_scale = rng.logUniform(1.0 / opts.intensityJitter,
+                                            opts.intensityJitter);
+            work[i] = IpWork{u.at(i).fraction * f_scale,
+                             u.at(i).intensity * i_scale};
+            sum += work[i].fraction;
+        }
+        for (IpWork &w : work)
+            w.fraction /= sum;
+        GablesResult res =
+            GablesModel::evaluate(soc, Usecase("u", std::move(work)));
+        perf.push_back(res.attainable);
+        bottlenecks[res.bottleneckIp]++;
+        meets += res.attainable >= opts.target ? 1 : 0;
+    }
+    std::sort(perf.begin(), perf.end());
+    double total = 0.0;
+    for (double p : perf)
+        total += p;
+    auto quantile = [&](double q) {
+        double pos = q * (perf.size() - 1);
+        size_t lo = static_cast<size_t>(pos);
+        size_t hi = std::min(lo + 1, perf.size() - 1);
+        double t = pos - static_cast<double>(lo);
+        return perf[lo] * (1.0 - t) + perf[hi] * t;
+    };
+
+    EXPECT_EQ(r.mean, total / perf.size());
+    EXPECT_EQ(r.p5, quantile(0.05));
+    EXPECT_EQ(r.p50, quantile(0.50));
+    EXPECT_EQ(r.p95, quantile(0.95));
+    EXPECT_EQ(r.meetsTargetProbability,
+              static_cast<double>(meets) / opts.samples);
+    ASSERT_EQ(r.bottleneckShare.size(), bottlenecks.size());
+    for (const auto &[ip, count] : bottlenecks)
+        EXPECT_EQ(r.bottleneckShare.at(ip),
+                  static_cast<double>(count) / opts.samples)
+            << "ip " << ip;
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/sensitivity.h"
+#include "core/gables.h"
 #include "soc/catalog.h"
 
 namespace gables {
@@ -109,6 +110,60 @@ TEST(Sensitivity, EntryCountMatchesParameters)
     auto entries = Sensitivity::analyze(soc, u);
     // Ppeak + Bpeak + A[1], A[2] + B[0..2] + I[0..2] = 10.
     EXPECT_EQ(entries.size(), 10u);
+}
+
+// analyze() probes on evaluation packs; every entry must equal, bit
+// for bit, elasticity() over per-probe GablesModel::evaluate() calls
+// on rebuilt specs. 10 probes: two full passes of four and a
+// two-probe tail.
+TEST(Sensitivity, MatchesElasticityOverModelBitwise)
+{
+    SocSpec soc = SocCatalog::snapdragon835();
+    Usecase u("u", {IpWork{0.3, 4.0}, IpWork{0.6, 2.0},
+                    IpWork{0.1, 1.0}});
+    auto perf = [&](const SocSpec &s, const Usecase &w) {
+        return GablesModel::evaluate(s, w).attainable;
+    };
+    std::vector<SensitivityEntry> expected;
+    expected.push_back(
+        {"Ppeak", Sensitivity::elasticity(soc.ppeak(), [&](double v) {
+             return perf(SocSpec(soc.name(), v, soc.bpeak(), soc.ips()),
+                         u);
+         })});
+    expected.push_back(
+        {"Bpeak", Sensitivity::elasticity(soc.bpeak(), [&](double v) {
+             return perf(soc.withBpeak(v), u);
+         })});
+    for (size_t i = 1; i < soc.numIps(); ++i)
+        expected.push_back(
+            {"A[" + std::to_string(i) + "]",
+             Sensitivity::elasticity(soc.ip(i).acceleration,
+                                     [&](double v) {
+                                         return perf(
+                                             soc.withIpAcceleration(i, v),
+                                             u);
+                                     })});
+    for (size_t i = 0; i < soc.numIps(); ++i)
+        expected.push_back(
+            {"B[" + std::to_string(i) + "]",
+             Sensitivity::elasticity(soc.ip(i).bandwidth, [&](double v) {
+                 return perf(soc.withIpBandwidth(i, v), u);
+             })});
+    for (size_t i = 0; i < u.numIps(); ++i)
+        expected.push_back(
+            {"I[" + std::to_string(i) + "]",
+             Sensitivity::elasticity(u.at(i).intensity, [&](double v) {
+                 return perf(soc,
+                             u.withWork(i, IpWork{u.at(i).fraction, v}));
+             })});
+
+    auto entries = Sensitivity::analyze(soc, u);
+    ASSERT_EQ(entries.size(), expected.size());
+    for (size_t k = 0; k < entries.size(); ++k) {
+        EXPECT_EQ(entries[k].parameter, expected[k].parameter);
+        EXPECT_EQ(entries[k].elasticity, expected[k].elasticity)
+            << entries[k].parameter;
+    }
 }
 
 } // namespace

@@ -122,6 +122,10 @@ TEST(SweepBitIdentity, DriversMatchLegacyLoop)
     std::vector<double> accels = {1.0, 2.5, 5.0, 50.0};
     std::vector<double> bands = {1e9, 5e9, 15e9, 50e9};
     std::vector<double> intensities = {0.05, 0.1, 1.0, 8.0, 64.0};
+    // 11 points: one full pack plus a 3-lane partial-pack tail.
+    std::vector<double> tail_grid;
+    for (int i = 0; i < 11; ++i)
+        tail_grid.push_back(0.05 * (i + 1) * (i + 1));
 
     for (int jobs : {1, 0}) {
         Series s = Sweep::bpeak(soc, u, bpeaks, jobs);
@@ -150,79 +154,48 @@ TEST(SweepBitIdentity, DriversMatchLegacyLoop)
                     .attainable)
                 << "band jobs " << jobs << " i " << i;
 
-        s = Sweep::intensity(soc, u, 1, intensities, jobs);
-        for (size_t i = 0; i < intensities.size(); ++i)
-            EXPECT_EQ(
-                s.y[i],
-                GablesModel::evaluate(
-                    soc, u.withWork(1, IpWork{u.fraction(1),
-                                              intensities[i]}))
-                    .attainable)
-                << "intensity jobs " << jobs << " i " << i;
+        for (const std::vector<double> &grid : {intensities, tail_grid}) {
+            s = Sweep::intensity(soc, u, 1, grid, jobs);
+            ASSERT_EQ(s.y.size(), grid.size());
+            for (size_t i = 0; i < grid.size(); ++i)
+                EXPECT_EQ(s.y[i],
+                          GablesModel::evaluate(
+                              soc, u.withWork(1, IpWork{u.fraction(1),
+                                                        grid[i]}))
+                              .attainable)
+                    << "intensity jobs " << jobs << " i " << i;
+        }
     }
 }
 
 TEST(SweepBitIdentity, MixingMatchesLegacyLoop)
 {
-    SocSpec soc = SocCatalog::snapdragon835();
     std::vector<double> fractions = eighths();
-    auto usecase_for = [&](double f) {
-        std::vector<IpWork> work(soc.numIps());
-        work[0] = IpWork{1.0 - f, 4.0};
-        work[1] = IpWork{f, 32.0};
-        for (size_t i = 2; i < work.size(); ++i)
-            work[i] = IpWork{0.0, 1.0};
-        return Usecase("mixing", std::move(work));
-    };
-    for (int jobs : {1, 0}) {
-        Series s = Sweep::mixing(soc, 4.0, 32.0, fractions, true, jobs);
+    for (const SocSpec &soc :
+         {SocCatalog::snapdragon835(), SocCatalog::paperTwoIp()}) {
+        auto usecase_for = [&](double f) {
+            std::vector<IpWork> work(soc.numIps());
+            work[0] = IpWork{1.0 - f, 4.0};
+            work[1] = IpWork{f, 32.0};
+            for (size_t i = 2; i < work.size(); ++i)
+                work[i] = IpWork{0.0, 1.0};
+            return Usecase("mixing", std::move(work));
+        };
         double base =
             GablesModel::evaluate(soc, usecase_for(0.0)).attainable;
-        for (size_t i = 0; i < fractions.size(); ++i)
-            EXPECT_EQ(s.y[i],
-                      GablesModel::evaluate(soc, usecase_for(fractions[i]))
-                              .attainable /
-                          base)
-                << "jobs " << jobs << " i " << i;
+        for (int jobs : {1, 0}) {
+            Series s =
+                Sweep::mixing(soc, 4.0, 32.0, fractions, true, jobs);
+            ASSERT_EQ(s.y.size(), fractions.size());
+            for (size_t i = 0; i < fractions.size(); ++i)
+                EXPECT_EQ(s.y[i],
+                          GablesModel::evaluate(
+                              soc, usecase_for(fractions[i]))
+                                  .attainable /
+                              base)
+                    << soc.name() << " jobs " << jobs << " i " << i;
+        }
     }
-}
-
-// Direct A/B across the runtime toggle: the same driver call with
-// the packed path on and off must produce byte-identical series
-// (partial-pack tails included). This pins the `--no-simd` escape
-// hatch beyond the legacy-loop comparisons above.
-TEST(SweepBitIdentity, PackedToggleIsByteIdentical)
-{
-    SocSpec soc = SocCatalog::paperTwoIp();
-    Usecase u = Usecase::twoIp("u", 0.75, 8.0, 0.1);
-    // 11 points: one full pack plus a 3-lane tail at kWidth = 8.
-    std::vector<double> intensities;
-    for (int i = 0; i < 11; ++i)
-        intensities.push_back(0.05 * (i + 1) * (i + 1));
-
-    Series packed = [&] {
-        simd::ScopedEnable on(true);
-        return Sweep::intensity(soc, u, 1, intensities);
-    }();
-    Series scalar = [&] {
-        simd::ScopedEnable off(false);
-        return Sweep::intensity(soc, u, 1, intensities);
-    }();
-    ASSERT_EQ(packed.y.size(), scalar.y.size());
-    for (size_t i = 0; i < packed.y.size(); ++i)
-        EXPECT_EQ(packed.y[i], scalar.y[i]) << "i " << i;
-
-    Series packed_mix = [&] {
-        simd::ScopedEnable on(true);
-        return Sweep::mixing(soc, 4.0, 32.0, eighths());
-    }();
-    Series scalar_mix = [&] {
-        simd::ScopedEnable off(false);
-        return Sweep::mixing(soc, 4.0, 32.0, eighths());
-    }();
-    ASSERT_EQ(packed_mix.y.size(), scalar_mix.y.size());
-    for (size_t i = 0; i < packed_mix.y.size(); ++i)
-        EXPECT_EQ(packed_mix.y[i], scalar_mix.y[i]) << "i " << i;
 }
 
 TEST(CustomSweep, AppliesCallback)

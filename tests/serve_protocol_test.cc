@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -55,6 +56,14 @@ evalRequest(int id, const SocSpec &soc, const Usecase &usecase,
             const std::string &extra = "")
 {
     return modelRequest(id, "eval", soc, usecase, extra);
+}
+
+/** Shortest round-trip decimal text of @p v. */
+std::string
+numberText(double v)
+{
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 Usecase
@@ -291,19 +300,31 @@ TEST(ServeProtocol, SweepRestoresTheCachedEvaluator)
     Usecase usecase = paperUsecase(0.75, 8.0, 0.1);
     GablesResult expected = GablesModel::evaluate(soc, usecase);
 
+    // 11 points: one full pack plus a 3-lane partial-pack tail.
+    std::vector<double> values;
+    std::string list;
+    for (int i = 0; i < 11; ++i) {
+        values.push_back(0.05 * (i + 1) * (i + 1));
+        list += (i ? ", " : "") + numberText(values.back());
+    }
     JsonValue sweep = parseResponse(service.handleLine(modelRequest(
         1, "sweep", soc, usecase,
-        "\"axis\": \"intensity\", \"ip\": 1, "
-        "\"values\": [0.1, 1, 10, 100]")));
+        "\"axis\": \"intensity\", \"ip\": 1, \"values\": [" + list +
+            "]")));
     ASSERT_TRUE(sweep.at("ok").asBool());
-    ASSERT_EQ(sweep.at("result")
-                  .at("attainable_ops_per_sec")
-                  .size(),
-              4u);
+    const JsonValue &att =
+        sweep.at("result").at("attainable_ops_per_sec");
+    ASSERT_EQ(att.size(), values.size());
+    for (size_t i = 0; i < values.size(); ++i)
+        EXPECT_EQ(att.items()[i].asNumber(),
+                  GablesModel::evaluate(
+                      soc, usecase.withWork(1, IpWork{0.75, values[i]}))
+                      .attainable)
+            << "i " << i;
 
-    // The sweep mutated intensity at IP 1 and restored it: the next
-    // eval of the same pair hits the cache and still matches the
-    // from-scratch model.
+    // The sweep ran on a pack broadcast from the cached entry: the
+    // next eval of the same pair hits the cache and still matches
+    // the from-scratch model.
     JsonValue eval = parseResponse(
         service.handleLine(evalRequest(2, soc, usecase)));
     ASSERT_TRUE(eval.at("ok").asBool());
@@ -311,6 +332,30 @@ TEST(ServeProtocol, SweepRestoresTheCachedEvaluator)
     EXPECT_EQ(
         eval.at("result").at("attainable_ops_per_sec").asNumber(),
         expected.attainable);
+}
+
+TEST(ServeProtocol, ExploreGridOverflowIsLocatedConfigError)
+{
+    // 16 knobs of 16 values: 16^16 = 2^64 designs, one past size_t.
+    std::string knob =
+        "{\"knob\": \"bpeak\", \"values\": [1e9";
+    for (int v = 2; v <= 16; ++v)
+        knob += ", " + std::to_string(v) + "e9";
+    knob += "]}";
+    std::string sweeps;
+    for (int k = 0; k < 16; ++k)
+        sweeps += (k ? ", " : "") + knob;
+
+    serve::ServeService service{serve::ServeOptions{}};
+    JsonValue doc = parseResponse(service.handleLine(modelRequest(
+        1, "explore", SocCatalog::paperTwoIp(),
+        paperUsecase(0.75, 8.0, 0.1), "\"sweep\": [" + sweeps + "]")));
+    EXPECT_FALSE(doc.at("ok").asBool());
+    EXPECT_EQ(doc.at("error").at("code").asNumber(), 1.0);
+    EXPECT_EQ(doc.at("error").at("kind").asString(), "config");
+    std::string message = doc.at("error").at("message").asString();
+    EXPECT_EQ(message.rfind("explore: ", 0), 0u) << message;
+    EXPECT_NE(message.find("sweep 16"), std::string::npos) << message;
 }
 
 TEST(ServeProtocol, StatsReportParsesAsRunReport)
@@ -333,7 +378,7 @@ TEST(ServeProtocol, StatsReportParsesAsRunReport)
               "gables-run-report");
 }
 
-TEST(ServeProtocol, StatsExposeEvalCountCacheRateAndLaneWidth)
+TEST(ServeProtocol, StatsExposeEvalCountAndCacheRate)
 {
     serve::ServeService service{serve::ServeOptions{}};
     SocSpec soc = SocCatalog::paperTwoIp();
@@ -353,21 +398,7 @@ TEST(ServeProtocol, StatsExposeEvalCountCacheRateAndLaneWidth)
     EXPECT_GT(rate, 0.0);
     EXPECT_LE(rate, 1.0);
 
-    // The lane-width config field tracks the runtime toggle, so a
-    // loadgen reading the stats op can tell which path served it.
-    EXPECT_EQ(report.at("config").at("simd_compiled").asNumber(),
-              simd::kCompiledIn ? 1.0 : 0.0);
-    EXPECT_EQ(report.at("config").at("simd_lane_width").asNumber(),
-              simd::enabled()
-                  ? static_cast<double>(GablesEvalPack::kWidth)
-                  : 1.0);
-    {
-        simd::ScopedEnable off(false);
-        JsonValue scalar = statsDoc(service);
-        EXPECT_EQ(
-            scalar.at("config").at("simd_lane_width").asNumber(),
-            1.0);
-    }
+    EXPECT_FALSE(report.at("config").has("simd_lane_width"));
 }
 
 TEST(ServeProtocol, BatchMatchesSerialByteForByte)
