@@ -180,23 +180,17 @@ connectTcp(int port)
     return fd;
 }
 
-/** Resolve a catalog SoC by the names the CLI accepts. */
+/** Resolve a catalog SoC by the names the CLI accepts. Unknown
+ * names (future catalog growth) fall back to the paper two-IP chip
+ * rather than failing the whole mix. */
 SocSpec
 catalogSoc(const std::string &name)
 {
-    if (name == "sd835" || name.empty())
-        return SocCatalog::snapdragon835();
-    if (name == "sd835-full")
-        return SocCatalog::snapdragon835Full();
-    if (name == "sd821")
-        return SocCatalog::snapdragon821();
-    if (name == "paper")
-        return SocCatalog::paperTwoIp();
-    if (name == "paper-balanced")
-        return SocCatalog::paperTwoIpBalanced();
-    // Unknown names (future catalog growth) fall back to the paper
-    // two-IP chip rather than failing the whole mix.
-    return SocCatalog::paperTwoIp();
+    std::vector<std::string> known = SocCatalog::names();
+    bool listed = name.empty() ||
+                  std::find(known.begin(), known.end(), name) !=
+                      known.end();
+    return SocCatalog::entry(listed ? name : "paper").spec();
 }
 
 std::string

@@ -17,8 +17,10 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/advisor.h"
@@ -72,24 +74,78 @@ usageExit(const ArgParser &args)
     return args.helpRequested() ? kExitOk : kExitUsage;
 }
 
-/** Resolve a --soc option value to a catalog spec. */
-SocSpec
-resolveSoc(const std::string &name)
+/**
+ * Per-command defaults of the model-input option group: the SoC and
+ * usecase (paper Table II's Ppeak, Bpeak, Ai, Bi, fi, Ii) that the
+ * analytic commands evaluate.
+ */
+struct ModelOptions {
+    /** Default --soc. */
+    const char *soc;
+    /** Default --i1. */
+    const char *i1;
+    /** Also take --file/--usecase: a config file's SoC and usecase
+     * replace --soc, --f, --i0 and --i1. */
+    bool file;
+};
+
+/** Declare the model-input options of @p m on @p args. */
+void
+addModelOptions(ArgParser &args, const ModelOptions &m)
 {
-    if (name == "sd835" || name.empty())
-        return SocCatalog::snapdragon835();
-    if (name == "sd835-full")
-        return SocCatalog::snapdragon835Full();
-    if (name == "sd821")
-        return SocCatalog::snapdragon821();
-    if (name == "paper")
-        return SocCatalog::paperTwoIp();
-    if (name == "paper-balanced")
-        return SocCatalog::paperTwoIpBalanced();
-    fatal("unknown SoC '" + name + "'" +
-          didYouMean(name, {"sd835", "sd835-full", "sd821", "paper",
-                            "paper-balanced"}) +
-          " (try sd835, sd835-full, sd821, paper, paper-balanced)");
+    args.addOption("soc", "catalog SoC name", m.soc);
+    if (m.file) {
+        args.addOption("file", "config file with the SoC and usecases");
+        args.addOption("usecase", "usecase name from the file");
+    }
+    args.addDoubleOption("f", "fraction of work at IP[1]", "0.75");
+    args.addDoubleOption("i0", "intensity at IP[0]", "8");
+    args.addDoubleOption("i1", "intensity at IP[1]", m.i1);
+}
+
+/**
+ * Resolve the options addModelOptions() declared: the --file config's
+ * SoC and its --usecase (default: the first), or the catalog --soc
+ * with fraction f at IP[1] and intensities i0/i1 at IP[0]/IP[1]
+ * (further IPs idle).
+ */
+std::pair<SocSpec, Usecase>
+resolveModel(const ArgParser &args, const ModelOptions &m)
+{
+    if (args.has("file")) {
+        SocConfig cfg = loadSocConfig(args.getString("file"));
+        std::optional<std::string> name;
+        if (args.has("usecase"))
+            name = args.getString("usecase");
+        return {cfg.soc, cfg.select(name)};
+    }
+    SocSpec soc = SocCatalog::entry(args.getString("soc", m.soc)).spec();
+    double f = args.getDouble("f", 0.75);
+    std::vector<IpWork> work(soc.numIps(), IpWork{0.0, 1.0});
+    work[0] = IpWork{1.0 - f, args.getDouble("i0", 8.0)};
+    if (soc.numIps() > 1)
+        work[1] =
+            IpWork{f, args.getDouble("i1", parseDoubleStrict(m.i1))};
+    return {soc, Usecase("cli", work)};
+}
+
+/**
+ * Echo the evaluated usecase into a run report's config: its name,
+ * then the command's @p settings, then f<i> and i<i> for every IP.
+ */
+void
+addUsecaseConfig(
+    telemetry::RunReport &report, const Usecase &usecase,
+    std::initializer_list<std::pair<const char *, double>> settings = {})
+{
+    report.addConfig("usecase", usecase.name());
+    for (const auto &[key, value] : settings)
+        report.addConfig(key, value);
+    for (size_t i = 0; i < usecase.numIps(); ++i) {
+        std::string n = std::to_string(i);
+        report.addConfig("f" + n, usecase.fraction(i));
+        report.addConfig("i" + n, usecase.intensity(i));
+    }
 }
 
 /** Declare the shared --jobs option on a grid command. */
@@ -165,12 +221,8 @@ cmdEval(int argc, const char *const *argv)
 {
     ArgParser args("gables eval",
                    "evaluate a usecase on a SoC and report the bound");
-    args.addOption("soc", "catalog SoC name", "paper");
-    args.addOption("file", "config file with the SoC and usecases");
-    args.addOption("usecase", "usecase name from the file");
-    args.addDoubleOption("f", "fraction of work at IP[1]", "0.75");
-    args.addDoubleOption("i0", "operational intensity at IP[0]", "8");
-    args.addDoubleOption("i1", "operational intensity at IP[1]", "8");
+    const ModelOptions model{"paper", "8", true};
+    addModelOptions(args, model);
     args.addFlag("json", "emit the result as JSON");
     args.addOption("svg", "write a scaled-roofline SVG to this path");
     args.addOption("viz-json",
@@ -182,26 +234,7 @@ cmdEval(int argc, const char *const *argv)
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
 
-    SocSpec soc = resolveSoc("paper");
-    Usecase usecase("cli", {IpWork{1.0, 1.0}});
-    if (args.has("file")) {
-        SocConfig cfg = loadSocConfig(args.getString("file"));
-        soc = cfg.soc;
-        if (cfg.usecases.empty())
-            fatal("config file declares no usecases");
-        usecase = args.has("usecase")
-                      ? cfg.usecase(args.getString("usecase"))
-                      : cfg.usecases.front();
-    } else {
-        soc = resolveSoc(args.getString("soc", "paper"));
-        double f = args.getDouble("f", 0.75);
-        std::vector<IpWork> work(soc.numIps(), IpWork{0.0, 1.0});
-        work[0] = IpWork{1.0 - f, args.getDouble("i0", 8.0)};
-        if (soc.numIps() > 1)
-            work[1] = IpWork{f, args.getDouble("i1", 8.0)};
-        usecase = Usecase("cli", work);
-    }
-
+    auto [soc, usecase] = resolveModel(args, model);
     GablesResult result = GablesModel::evaluate(soc, usecase);
     if (args.has("json")) {
         writeJson(std::cout, soc, usecase, result);
@@ -275,12 +308,7 @@ cmdEval(int argc, const char *const *argv)
             .add(1.0);
 
         telemetry::RunReport report("gables eval", soc.name());
-        report.addConfig("usecase", usecase.name());
-        for (size_t i = 0; i < usecase.numIps(); ++i) {
-            std::string n = std::to_string(i);
-            report.addConfig("f" + n, usecase.fraction(i));
-            report.addConfig("i" + n, usecase.intensity(i));
-        }
+        addUsecaseConfig(report, usecase);
         report.setRegistry(&reg);
         writeReport(report, args.getString("metrics"));
     }
@@ -304,7 +332,7 @@ cmdSweep(int argc, const char *const *argv)
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
 
-    SocSpec soc = resolveSoc(args.getString("soc", "sd835"));
+    SocSpec soc = SocCatalog::entry(args.getString("soc", "sd835")).spec();
     long n = args.getInt("points", 9);
     if (n < 2 || n > 1000000)
         fatal("--points must be in [2, 1000000]");
@@ -364,8 +392,9 @@ cmdSim(int argc, const char *const *argv)
                    "discrete-event simulation of a catalog SoC with "
                    "full telemetry: metrics JSON and Perfetto trace");
     args.addOption("soc",
-                   "catalog SoC (sd835, sd821 use the calibrated "
-                   "sims; other names go through the spec bridge)",
+                   "catalog SoC (" + join(SocCatalog::names(true), ", ") +
+                       " use the calibrated sims; other names go "
+                       "through the spec bridge)",
                    "sd835");
     args.addOption("engines",
                    "comma-separated engine names (default: all)");
@@ -387,18 +416,11 @@ cmdSim(int argc, const char *const *argv)
         return usageExit(args);
 
     std::string soc_name = args.getString("soc", "sd835");
-    std::unique_ptr<sim::SimSoc> soc;
-    SocSpec spec = resolveSoc("paper");
-    if (soc_name == "sd835" || soc_name.empty()) {
-        soc = SocCatalog::snapdragon835Sim();
-        spec = SocCatalog::snapdragon835();
-    } else if (soc_name == "sd821") {
-        soc = SocCatalog::snapdragon821Sim();
-        spec = SocCatalog::snapdragon821();
-    } else {
-        spec = resolveSoc(soc_name);
-        soc = SocCatalog::simFromSpec(spec);
-    }
+    const SocCatalog::Named &named = SocCatalog::entry(soc_name);
+    SocSpec spec = named.spec();
+    std::unique_ptr<sim::SimSoc> soc =
+        named.calibratedSim ? named.calibratedSim()
+                            : SocCatalog::simFromSpec(spec);
 
     std::vector<std::string> engines;
     if (args.has("engines")) {
@@ -532,7 +554,8 @@ cmdUsecases(int argc, const char *const *argv)
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
 
-    SocSpec soc = resolveSoc(args.getString("soc", "sd835-full"));
+    SocSpec soc =
+        SocCatalog::entry(args.getString("soc", "sd835-full")).spec();
     TextTable t({"usecase", "target fps", "max fps", "bottleneck",
                  "DRAM MB/frame"});
     for (const UsecaseEntry &entry : UsecaseCatalog::extended()) {
@@ -555,7 +578,8 @@ cmdErt(int argc, const char *const *argv)
     ArgParser args("gables ert",
                    "empirical roofline of a simulated Snapdragon IP");
     args.addOption("engine", "CPU, GPU, or DSP", "CPU");
-    args.addOption("chip", "sd835 or sd821", "sd835");
+    std::vector<std::string> chips = SocCatalog::names(true);
+    args.addOption("chip", join(chips, " or "), "sd835");
     args.addOption("metrics",
                    "write a run-report JSON with the samples and the "
                    "fit to this path");
@@ -564,16 +588,12 @@ cmdErt(int argc, const char *const *argv)
         return usageExit(args);
 
     std::string chip = args.getString("chip", "sd835");
-    if (chip != "sd835" && chip != "sd821")
-        fatal("unknown chip '" + chip + "'" +
-              didYouMean(chip, {"sd835", "sd821"}) +
-              " (try sd835 or sd821)");
+    if (std::find(chips.begin(), chips.end(), chip) == chips.end())
+        fatal("unknown chip '" + chip + "'" + didYouMean(chip, chips) +
+              " (try " + join(chips, " or ") + ")");
     // Each pool worker builds its own simulator, so trials run
     // concurrently without sharing mutable simulator state.
-    ErtSweep::SocFactory make_soc = [&chip] {
-        return chip == "sd821" ? SocCatalog::snapdragon821Sim()
-                               : SocCatalog::snapdragon835Sim();
-    };
+    ErtSweep::SocFactory make_soc = SocCatalog::entry(chip).calibratedSim;
     int jobs = resolveJobs(args);
     ErtConfig config;
     config.intensities = ErtConfig::defaultIntensities();
@@ -632,38 +652,15 @@ cmdAdvise(int argc, const char *const *argv)
 {
     ArgParser args("gables advise",
                    "rank design moves for a SoC/usecase pair");
-    args.addOption("file", "config file with the SoC and usecases");
-    args.addOption("usecase", "usecase name from the file");
-    args.addOption("soc", "catalog SoC (when no file given)", "paper");
-    args.addDoubleOption("f", "fraction of work at IP[1]", "0.75");
-    args.addDoubleOption("i0", "intensity at IP[0]", "8");
-    args.addDoubleOption("i1", "intensity at IP[1]", "0.1");
+    const ModelOptions model{"paper", "0.1", true};
+    addModelOptions(args, model);
     args.addOption("metrics",
                    "write a run-report JSON with the ranked moves to "
                    "this path");
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
 
-    SocSpec soc = resolveSoc("paper");
-    Usecase usecase("cli", {IpWork{1.0, 1.0}});
-    if (args.has("file")) {
-        SocConfig cfg = loadSocConfig(args.getString("file"));
-        soc = cfg.soc;
-        if (cfg.usecases.empty())
-            fatal("config file declares no usecases");
-        usecase = args.has("usecase")
-                      ? cfg.usecase(args.getString("usecase"))
-                      : cfg.usecases.front();
-    } else {
-        soc = resolveSoc(args.getString("soc", "paper"));
-        double f = args.getDouble("f", 0.75);
-        std::vector<IpWork> work(soc.numIps(), IpWork{0.0, 1.0});
-        work[0] = IpWork{1.0 - f, args.getDouble("i0", 8.0)};
-        if (soc.numIps() > 1)
-            work[1] = IpWork{f, args.getDouble("i1", 0.1)};
-        usecase = Usecase("cli", work);
-    }
-
+    auto [soc, usecase] = resolveModel(args, model);
     GablesResult base = GablesModel::evaluate(soc, usecase);
     std::cout << "current: " << formatOpsRate(base.attainable)
               << " (" << base.bottleneckLabel(soc) << ")\n\n";
@@ -698,12 +695,7 @@ cmdAdvise(int argc, const char *const *argv)
                          advice[i].newAttainable);
 
         telemetry::RunReport report("gables advise", soc.name());
-        report.addConfig("usecase", usecase.name());
-        for (size_t i = 0; i < usecase.numIps(); ++i) {
-            std::string n = std::to_string(i);
-            report.addConfig("f" + n, usecase.fraction(i));
-            report.addConfig("i" + n, usecase.intensity(i));
-        }
+        addUsecaseConfig(report, usecase);
         report.setRegistry(&reg);
         writeReport(report, args.getString("metrics"));
     }
@@ -715,10 +707,8 @@ cmdRobust(int argc, const char *const *argv)
 {
     ArgParser args("gables robust",
                    "Monte-Carlo robustness of a usecase estimate");
-    args.addOption("soc", "catalog SoC name", "paper-balanced");
-    args.addDoubleOption("f", "fraction of work at IP[1]", "0.75");
-    args.addDoubleOption("i0", "intensity at IP[0]", "8");
-    args.addDoubleOption("i1", "intensity at IP[1]", "8");
+    const ModelOptions model{"paper-balanced", "8", false};
+    addModelOptions(args, model);
     args.addIntOption("samples", "Monte-Carlo samples", "1000");
     args.addDoubleOption("target", "ops/s target (0 = none)", "0");
     args.addIntOption("seed", "RNG seed (runs are deterministic "
@@ -730,14 +720,7 @@ cmdRobust(int argc, const char *const *argv)
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
 
-    SocSpec soc = resolveSoc(args.getString("soc", "paper-balanced"));
-    double f = args.getDouble("f", 0.75);
-    std::vector<IpWork> work(soc.numIps(), IpWork{0.0, 1.0});
-    work[0] = IpWork{1.0 - f, args.getDouble("i0", 8.0)};
-    if (soc.numIps() > 1)
-        work[1] = IpWork{f, args.getDouble("i1", 8.0)};
-    Usecase usecase("cli", work);
-
+    auto [soc, usecase] = resolveModel(args, model);
     Robustness::Options opts;
     long samples = args.getInt("samples", 1000);
     if (samples < 1 || samples > 100000000)
@@ -790,7 +773,7 @@ cmdRobust(int argc, const char *const *argv)
 
         telemetry::RunReport report("gables robust", soc.name());
         report.addConfig("usecase", usecase.name());
-        report.addConfig("f", f);
+        report.addConfig("f", usecase.fraction(1));
         report.addConfig("samples", samples);
         report.addConfig("target", opts.target);
         report.addConfig("seed", seed);
@@ -806,12 +789,8 @@ cmdSensitivity(int argc, const char *const *argv)
     ArgParser args("gables sensitivity",
                    "elasticity of the attainable bound w.r.t. every "
                    "hardware and software parameter");
-    args.addOption("soc", "catalog SoC name", "paper");
-    args.addOption("file", "config file with the SoC and usecases");
-    args.addOption("usecase", "usecase name from the file");
-    args.addDoubleOption("f", "fraction of work at IP[1]", "0.75");
-    args.addDoubleOption("i0", "intensity at IP[0]", "8");
-    args.addDoubleOption("i1", "intensity at IP[1]", "8");
+    const ModelOptions model{"paper", "8", true};
+    addModelOptions(args, model);
     args.addDoubleOption("step", "relative probe step", "0.01");
     args.addOption("metrics",
                    "write a run-report JSON with the elasticities to "
@@ -819,25 +798,7 @@ cmdSensitivity(int argc, const char *const *argv)
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
 
-    SocSpec soc = resolveSoc("paper");
-    Usecase usecase("cli", {IpWork{1.0, 1.0}});
-    if (args.has("file")) {
-        SocConfig cfg = loadSocConfig(args.getString("file"));
-        soc = cfg.soc;
-        if (cfg.usecases.empty())
-            fatal("config file declares no usecases");
-        usecase = args.has("usecase")
-                      ? cfg.usecase(args.getString("usecase"))
-                      : cfg.usecases.front();
-    } else {
-        soc = resolveSoc(args.getString("soc", "paper"));
-        double f = args.getDouble("f", 0.75);
-        std::vector<IpWork> work(soc.numIps(), IpWork{0.0, 1.0});
-        work[0] = IpWork{1.0 - f, args.getDouble("i0", 8.0)};
-        if (soc.numIps() > 1)
-            work[1] = IpWork{f, args.getDouble("i1", 8.0)};
-        usecase = Usecase("cli", work);
-    }
+    auto [soc, usecase] = resolveModel(args, model);
     double step = args.getDouble("step", 0.01);
     if (!(step > 0.0) || !(step < 1.0))
         fatal("--step must be in (0, 1)");
@@ -857,13 +818,7 @@ cmdSensitivity(int argc, const char *const *argv)
                 .set(e.elasticity);
 
         telemetry::RunReport report("gables sensitivity", soc.name());
-        report.addConfig("usecase", usecase.name());
-        report.addConfig("step", step);
-        for (size_t i = 0; i < usecase.numIps(); ++i) {
-            std::string n = std::to_string(i);
-            report.addConfig("f" + n, usecase.fraction(i));
-            report.addConfig("i" + n, usecase.intensity(i));
-        }
+        addUsecaseConfig(report, usecase, {{"step", step}});
         report.setRegistry(&reg);
         writeReport(report, args.getString("metrics"));
     }
@@ -1038,8 +993,9 @@ cmdPipeline(int argc, const char *const *argv)
     ArgParser args("gables pipeline",
                    "simulate a catalog usecase dataflow frame by "
                    "frame");
-    args.addOption("usecase", "hdr, capture, hfr, playback, lens, "
-                              "wifi",
+    args.addOption("usecase",
+                   "catalog usecase (" +
+                       join(UsecaseCatalog::keys(), ", ") + ")",
                    "hfr");
     args.addIntOption("frames", "frames to simulate", "96");
     args.addDoubleOption("fps", "source pacing (0 = unpaced)", "0");
@@ -1048,25 +1004,8 @@ cmdPipeline(int argc, const char *const *argv)
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
 
-    std::string name = args.getString("usecase", "hfr");
-    UsecaseEntry entry = UsecaseCatalog::videocaptureHfr();
-    if (name == "hdr")
-        entry = UsecaseCatalog::hdrPlus();
-    else if (name == "capture")
-        entry = UsecaseCatalog::videocapture();
-    else if (name == "hfr")
-        entry = UsecaseCatalog::videocaptureHfr();
-    else if (name == "playback")
-        entry = UsecaseCatalog::videoplaybackUi();
-    else if (name == "lens")
-        entry = UsecaseCatalog::googleLens();
-    else if (name == "wifi")
-        entry = UsecaseCatalog::wifiStreaming();
-    else
-        fatal("unknown usecase '" + name + "'" +
-              didYouMean(name, {"hdr", "capture", "hfr", "playback",
-                                "lens", "wifi"}));
-
+    UsecaseEntry entry =
+        UsecaseCatalog::byKey(args.getString("usecase", "hfr"));
     SocSpec soc = SocCatalog::snapdragon835Full();
     sim::PipelineSim sim(soc, entry.graph);
     sim::TraceRecorder trace;
@@ -1106,9 +1045,9 @@ cmdExplore(int argc, const char *const *argv)
 {
     ArgParser args("gables explore",
                    "enumerate designs and print the Pareto frontier");
-    args.addOption("usecase", "catalog usecase scoring the designs "
-                              "(hdr, capture, hfr, playback, lens, "
-                              "wifi, gaming, call, ar)",
+    args.addOption("usecase",
+                   "catalog usecase scoring the designs (" +
+                       join(UsecaseCatalog::keys(), ", ") + ")",
                    "capture");
     args.addIntOption("points", "grid points per knob", "5");
     args.addOption("metrics",
@@ -1127,27 +1066,8 @@ cmdExplore(int argc, const char *const *argv)
 
     SocSpec base = SocCatalog::snapdragon835Full();
     std::string name = args.getString("usecase", "capture");
-    std::vector<Usecase> portfolio;
-    for (const UsecaseEntry &entry : UsecaseCatalog::extended()) {
-        std::string n = entry.graph.name();
-        bool match =
-            (name == "hdr" && n == "HDR+") ||
-            (name == "capture" && n == "Videocapture") ||
-            (name == "hfr" && n == "Videocapture (HFR)") ||
-            (name == "playback" && n == "Videoplayback UI") ||
-            (name == "lens" && n == "Google Lens") ||
-            (name == "wifi" && n == "WiFi streaming") ||
-            (name == "gaming" && n == "3D gaming") ||
-            (name == "call" && n == "Video call") ||
-            (name == "ar" && n == "AR navigation");
-        if (match)
-            portfolio.push_back(entry.graph.toUsecase(base));
-    }
-    if (portfolio.empty())
-        fatal("unknown usecase '" + name + "'" +
-              didYouMean(name, {"hdr", "capture", "hfr", "playback",
-                                "lens", "wifi", "gaming", "call",
-                                "ar"}));
+    std::vector<Usecase> portfolio = {
+        UsecaseCatalog::byKey(name).graph.toUsecase(base)};
 
     CostModel cost;
     cost.costPerAcceleration = 1.0;
@@ -1315,20 +1235,12 @@ cmdBalance(int argc, const char *const *argv)
 {
     ArgParser args("gables balance",
                    "balance report and sufficient bandwidths");
-    args.addOption("soc", "catalog SoC name", "paper-balanced");
-    args.addDoubleOption("f", "fraction of work at IP[1]", "0.75");
-    args.addDoubleOption("i0", "intensity at IP[0]", "8");
-    args.addDoubleOption("i1", "intensity at IP[1]", "8");
+    const ModelOptions model{"paper-balanced", "8", false};
+    addModelOptions(args, model);
     if (!args.parse(argc, argv, std::cerr))
         return usageExit(args);
 
-    SocSpec soc = resolveSoc(args.getString("soc", "paper-balanced"));
-    double f = args.getDouble("f", 0.75);
-    std::vector<IpWork> work(soc.numIps(), IpWork{0.0, 1.0});
-    work[0] = IpWork{1.0 - f, args.getDouble("i0", 8.0)};
-    if (soc.numIps() > 1)
-        work[1] = IpWork{f, args.getDouble("i1", 8.0)};
-    Usecase usecase("cli", work);
+    auto [soc, usecase] = resolveModel(args, model);
 
     BalanceReport report = Balance::report(soc, usecase);
     std::cout << "Pattainable: " << formatOpsRate(report.attainable)
@@ -1583,6 +1495,50 @@ cmdServe(int argc, const char *const *argv)
     return kExitOk;
 }
 
+/** One `gables` subcommand. */
+struct Command {
+    const char *name;
+    /** The usage() line; a '\n' continues it on an indented line. */
+    const char *summary;
+    int (*run)(int argc, const char *const *argv);
+};
+
+/** Every subcommand, in usage() order: dispatch, the command list
+ * and the did-you-mean suggestions all read this table. */
+const Command kCommands[] = {
+    {"eval", "evaluate a usecase on a SoC", cmdEval},
+    {"sweep", "mixing sweep over the work fraction", cmdSweep},
+    {"sim",
+     "simulate a SoC with telemetry (metrics JSON\n"
+     "+ Perfetto trace with counter tracks)",
+     cmdSim},
+    {"usecases", "analyze the catalog usecases", cmdUsecases},
+    {"ert", "empirical roofline on the simulated chip", cmdErt},
+    {"balance", "balance report and sufficient bandwidths", cmdBalance},
+    {"advise", "rank design moves (supports --file configs)",
+     cmdAdvise},
+    {"sensitivity", "parameter elasticities of the bound",
+     cmdSensitivity},
+    {"robust", "Monte-Carlo robustness of an estimate", cmdRobust},
+    {"pipeline", "frame-pipeline simulation of a usecase",
+     cmdPipeline},
+    {"explore", "design-space exploration with Pareto output",
+     cmdExplore},
+    {"provision", "shrink-to-fit inverse design for the catalog",
+     cmdProvision},
+    {"report", "show or diff run-report JSON artifacts", cmdReport},
+    {"replay", "re-run a recorded bundle and diff its RunReport",
+     cmdReplay},
+    {"serve",
+     "evaluation daemon speaking JSON lines over\n"
+     "a unix socket or loopback TCP",
+     cmdServe},
+    {"validate", "lint a config file without running anything",
+     cmdValidate},
+    {"glossary", "the Gables parameter glossary (Table II)",
+     cmdGlossary},
+};
+
 } // namespace
 
 namespace gables {
@@ -1593,29 +1549,18 @@ usage(std::ostream &out)
 {
     out << "usage: gables [--log-level L] [--profile] "
            "[--record PATH] <command> [options]\n"
-           "commands:\n"
-           "  eval        evaluate a usecase on a SoC\n"
-           "  sweep       mixing sweep over the work fraction\n"
-           "  sim         simulate a SoC with telemetry (metrics JSON\n"
-           "              + Perfetto trace with counter tracks)\n"
-           "  usecases    analyze the catalog usecases\n"
-           "  ert         empirical roofline on the simulated chip\n"
-           "  balance     balance report and sufficient bandwidths\n"
-           "  advise      rank design moves (supports --file configs)\n"
-           "  sensitivity parameter elasticities of the bound\n"
-           "  robust      Monte-Carlo robustness of an estimate\n"
-           "  pipeline    frame-pipeline simulation of a usecase\n"
-           "  explore     design-space exploration with Pareto output\n"
-           "  provision   shrink-to-fit inverse design for the "
-           "catalog\n"
-           "  report      show or diff run-report JSON artifacts\n"
-           "  replay      re-run a recorded bundle and diff its "
-           "RunReport\n"
-           "  serve       evaluation daemon speaking JSON lines over\n"
-           "              a unix socket or loopback TCP\n"
-           "  validate    lint a config file without running anything\n"
-           "  glossary    the Gables parameter glossary (Table II)\n"
-           "global options:\n"
+           "commands:\n";
+    const std::string indent(14, ' ');
+    for (const Command &c : kCommands) {
+        out << "  " << padRight(c.name, 11) << ' ';
+        for (const char *p = c.summary; *p != '\0'; ++p) {
+            out << *p;
+            if (*p == '\n')
+                out << indent;
+        }
+        out << '\n';
+    }
+    out << "global options:\n"
            "  --log-level L  minimum severity written to stderr:\n"
            "                 debug, info (default), warn, error\n"
            "  --profile      trace the tool's own phases: adds a\n"
@@ -1638,53 +1583,32 @@ runCommand(int argc, const char *const *argv)
         return kExitUsage;
     }
     std::string cmd = argv[1];
+    const Command *command = nullptr;
+    for (const Command &c : kCommands)
+        if (cmd == c.name)
+            command = &c;
+    const bool help = cmd == "--help" || cmd == "help";
+    if (command == nullptr && !help) {
+        std::vector<std::string> names;
+        for (const Command &c : kCommands)
+            names.push_back(c.name);
+        names.push_back("help");
+        std::cerr << "gables: unknown command '" << cmd << "'"
+                  << gables::didYouMean(cmd, names) << '\n';
+        usage(std::cerr);
+        return kExitUsage;
+    }
 
-    int code = kExitUsage;
-    bool known = true;
     try {
         // Root span around the whole command, so the profile's top
         // level reads "gables.<cmd>" and totals track wall time.
         std::string root = "gables." + cmd;
         gables::telemetry::ScopedSpan span(root.c_str());
-        if (cmd == "eval")
-            code = cmdEval(argc - 1, argv + 1);
-        else if (cmd == "sweep")
-            code = cmdSweep(argc - 1, argv + 1);
-        else if (cmd == "sim")
-            code = cmdSim(argc - 1, argv + 1);
-        else if (cmd == "usecases")
-            code = cmdUsecases(argc - 1, argv + 1);
-        else if (cmd == "ert")
-            code = cmdErt(argc - 1, argv + 1);
-        else if (cmd == "balance")
-            code = cmdBalance(argc - 1, argv + 1);
-        else if (cmd == "advise")
-            code = cmdAdvise(argc - 1, argv + 1);
-        else if (cmd == "sensitivity")
-            code = cmdSensitivity(argc - 1, argv + 1);
-        else if (cmd == "robust")
-            code = cmdRobust(argc - 1, argv + 1);
-        else if (cmd == "pipeline")
-            code = cmdPipeline(argc - 1, argv + 1);
-        else if (cmd == "explore")
-            code = cmdExplore(argc - 1, argv + 1);
-        else if (cmd == "provision")
-            code = cmdProvision(argc - 1, argv + 1);
-        else if (cmd == "report")
-            code = cmdReport(argc - 1, argv + 1);
-        else if (cmd == "replay")
-            code = cmdReplay(argc - 1, argv + 1);
-        else if (cmd == "serve")
-            code = cmdServe(argc - 1, argv + 1);
-        else if (cmd == "validate")
-            code = cmdValidate(argc - 1, argv + 1);
-        else if (cmd == "glossary")
-            code = cmdGlossary(argc - 1, argv + 1);
-        else if (cmd == "--help" || cmd == "help") {
+        if (help) {
             usage(std::cout);
-            code = kExitOk;
-        } else
-            known = false;
+            return kExitOk;
+        }
+        return command->run(argc - 1, argv + 1);
     } catch (const gables::ConfigError &err) {
         // The what() already carries the file:line location.
         std::cerr << "gables: " << err.what() << '\n';
@@ -1693,20 +1617,6 @@ runCommand(int argc, const char *const *argv)
         std::cerr << "gables: error: " << err.what() << '\n';
         return kExitError;
     }
-    if (!known) {
-        std::cerr << "gables: unknown command '" << cmd << "'"
-                  << gables::didYouMean(
-                         cmd, {"eval", "sweep", "sim", "usecases",
-                               "ert", "balance", "advise",
-                               "sensitivity", "robust", "pipeline",
-                               "explore", "provision", "report",
-                               "replay", "serve", "validate",
-                               "glossary", "help"})
-                  << '\n';
-        usage(std::cerr);
-        return kExitUsage;
-    }
-    return code;
 }
 
 int

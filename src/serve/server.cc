@@ -238,6 +238,9 @@ ServeServer::run()
                   std::strerror(errno));
         if (ready <= 0)
             continue;
+        // Connections accepted below were not in this poll: they get
+        // no events until the next round.
+        const size_t polled = fds.size() - 1;
         if (fds[0].revents & POLLIN)
             acceptPending();
         std::vector<Connection> alive;
@@ -245,7 +248,7 @@ ServeServer::run()
         size_t visited = 0;
         for (size_t i = 0; i < connections_.size(); ++i) {
             Connection &conn = connections_[i];
-            short revents = fds[i + 1].revents;
+            short revents = i < polled ? fds[i + 1].revents : 0;
             bool keep = true;
             if (revents & (POLLERR | POLLNVAL))
                 keep = false;

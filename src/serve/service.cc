@@ -1,13 +1,14 @@
 #include "serve/service.h"
 
 #include <chrono>
-#include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "analysis/advisor.h"
 #include "analysis/explorer.h"
 #include "core/gables.h"
+#include "core/serialize.h"
 #include "parallel/parallel_for.h"
 #include "replay/bundle.h"
 #include "serve/protocol.h"
@@ -90,61 +91,6 @@ stringField(const JsonValue &obj, const std::string &key,
     return obj.at(key).asString();
 }
 
-/** Parse an inline SoC in the shape core/serialize.h emits. */
-SocSpec
-socFromJson(const JsonValue &v)
-{
-    if (!v.isObject())
-        badRequest("\"soc\" must be an object");
-    double ppeak = numberField(v, "ppeak_ops_per_sec");
-    double bpeak = numberField(v, "bpeak_bytes_per_sec");
-    if (!v.has("ips") || !v.at("ips").isArray() ||
-        v.at("ips").size() == 0)
-        badRequest("\"soc\" needs a non-empty \"ips\" array");
-    std::vector<IpSpec> ips;
-    for (const JsonValue &ip : v.at("ips").items()) {
-        if (!ip.isObject())
-            badRequest("each \"ips\" entry must be an object");
-        IpSpec spec;
-        spec.name = stringField(
-            ip, "name", "IP" + std::to_string(ips.size()));
-        spec.acceleration = numberField(ip, "acceleration");
-        spec.bandwidth = numberField(ip, "bandwidth_bytes_per_sec");
-        ips.push_back(std::move(spec));
-    }
-    return SocSpec(stringField(v, "name", "request"), ppeak, bpeak,
-                   std::move(ips));
-}
-
-/** Parse an inline usecase in the shape core/serialize.h emits;
- * a null intensity means +infinity (no off-IP traffic). */
-Usecase
-usecaseFromJson(const JsonValue &v)
-{
-    if (!v.isObject())
-        badRequest("\"usecase\" must be an object");
-    if (!v.has("work") || !v.at("work").isArray() ||
-        v.at("work").size() == 0)
-        badRequest("\"usecase\" needs a non-empty \"work\" array");
-    std::vector<IpWork> work;
-    for (const JsonValue &w : v.at("work").items()) {
-        if (!w.isObject())
-            badRequest("each \"work\" entry must be an object");
-        IpWork item;
-        item.fraction = numberField(w, "fraction");
-        if (w.has("intensity_ops_per_byte") &&
-            w.at("intensity_ops_per_byte").isNull()) {
-            item.intensity = std::numeric_limits<double>::infinity();
-        } else {
-            item.intensity =
-                numberField(w, "intensity_ops_per_byte");
-        }
-        work.push_back(item);
-    }
-    return Usecase(stringField(v, "name", "request"),
-                   std::move(work));
-}
-
 /**
  * Resolve the request's model inputs: inline "soc"+"usecase"
  * objects, or "config" (server-side file path) with an optional
@@ -157,24 +103,26 @@ resolvePair(const JsonValue &req)
         if (!req.at("config").isString())
             badRequest("\"config\" must be a file-path string");
         SocConfig cfg = loadSocConfig(req.at("config").asString());
-        if (cfg.usecases.empty())
-            throw RequestError{ServeError{
-                ErrorKind::Config,
-                "config file declares no usecases"}};
+        std::optional<std::string> name;
         if (req.has("usecase")) {
             if (!req.at("usecase").isString())
                 badRequest("with \"config\", \"usecase\" must be a "
                            "usecase name");
-            return {cfg.soc,
-                    cfg.usecase(req.at("usecase").asString())};
+            name = req.at("usecase").asString();
         }
-        return {cfg.soc, cfg.usecases.front()};
+        return {cfg.soc, cfg.select(name)};
     }
     if (!req.has("soc") || !req.has("usecase"))
         badRequest("request needs inline \"soc\" and \"usecase\" "
                    "objects or a \"config\" path");
-    return {socFromJson(req.at("soc")),
-            usecaseFromJson(req.at("usecase"))};
+    try {
+        return {socFromJson(req.at("soc")),
+                usecaseFromJson(req.at("usecase"))};
+    } catch (const ConfigError &err) {
+        // A shape error; out-of-range values fail SocSpec/Usecase
+        // validation as plain FatalErrors and answer "config".
+        badRequest(err.message());
+    }
 }
 
 /** Resolve a sweep/advise "ip" field (index or name) to an index. */
@@ -207,24 +155,27 @@ compactJson(const std::string &text)
     return out.str();
 }
 
-const std::vector<std::string> &
-knownOps()
-{
-    static const std::vector<std::string> ops = {
-        "ping", "eval", "sweep", "explore", "advise", "stats",
-        "shutdown"};
-    return ops;
-}
+/** What an op handler uses besides the request, and the counts it
+ * reports back (ServeService::Outcome's). */
+struct OpContext {
+    const Deadline &deadline;
+    EvaluatorCache &cache;
+    ServeService &service;
+    uint64_t sweepPoints = 0;
+    uint64_t modelEvals = 0;
+    bool shutdown = false;
+};
 
 std::string
-handleEval(EvaluatorCache &cache, const JsonValue &req)
+handleEval(const JsonValue &req, OpContext &ctx)
 {
     auto [soc, usecase] = resolvePair(req);
     bool detail = req.has("detail") && req.at("detail").isBool() &&
                   req.at("detail").asBool();
     bool hit = false;
     std::shared_ptr<EvaluatorCache::Entry> entry =
-        cache.acquire(soc, usecase, &hit);
+        ctx.cache.acquire(soc, usecase, &hit);
+    ctx.modelEvals = 1;
     // Reused across requests on this thread: evaluate() into warm
     // scratch performs no allocations.
     thread_local GablesResult scratch;
@@ -266,8 +217,7 @@ handleEval(EvaluatorCache &cache, const JsonValue &req)
 }
 
 std::string
-handleSweep(EvaluatorCache &cache, const JsonValue &req,
-            const Deadline &deadline, uint64_t *sweep_points)
+handleSweep(const JsonValue &req, OpContext &ctx)
 {
     auto [soc, usecase] = resolvePair(req);
     std::string axis = stringField(req, "axis", "");
@@ -288,7 +238,7 @@ handleSweep(EvaluatorCache &cache, const JsonValue &req,
 
     bool hit = false;
     std::shared_ptr<EvaluatorCache::Entry> entry =
-        cache.acquire(soc, usecase, &hit);
+        ctx.cache.acquire(soc, usecase, &hit);
     // The cached evaluator is only read (broadcast into a pack),
     // never mutated, so a mid-sweep error leaves the entry untouched.
     constexpr size_t W = GablesEvalPack::kWidth;
@@ -302,7 +252,7 @@ handleSweep(EvaluatorCache &cache, const JsonValue &req,
     size_t next_check = 1023;
     for (size_t p0 = 0; p0 < values.size(); p0 += W) {
         if (p0 + W > next_check) {
-            if (deadline.expired())
+            if (ctx.deadline.expired())
                 throw RequestError{ServeError{
                     ErrorKind::Deadline,
                     "deadline expired mid-sweep after " +
@@ -321,7 +271,7 @@ handleSweep(EvaluatorCache &cache, const JsonValue &req,
         for (size_t w = 0; w < cnt; ++w)
             attainable.push_back(pack.attainable(w));
     }
-    *sweep_points = attainable.size();
+    ctx.sweepPoints = ctx.modelEvals = attainable.size();
 
     std::ostringstream out;
     JsonWriter json(out, false);
@@ -334,7 +284,7 @@ handleSweep(EvaluatorCache &cache, const JsonValue &req,
 }
 
 std::string
-handleExplore(const JsonValue &req, uint64_t *model_evals)
+handleExplore(const JsonValue &req, OpContext &ctx)
 {
     auto [soc, usecase] = resolvePair(req);
     CostModel cost;
@@ -392,7 +342,7 @@ handleExplore(const JsonValue &req, uint64_t *model_evals)
     ExploreStats stats;
     std::vector<Candidate> frontier =
         explorer.exploreFrontier(opts, &stats);
-    *model_evals = stats.evals;
+    ctx.modelEvals = stats.evals;
 
     std::ostringstream out;
     JsonWriter json(out, false);
@@ -424,7 +374,7 @@ handleExplore(const JsonValue &req, uint64_t *model_evals)
 }
 
 std::string
-handleAdvise(const JsonValue &req)
+handleAdvise(const JsonValue &req, OpContext &)
 {
     auto [soc, usecase] = resolvePair(req);
     Advisor::Options options;
@@ -458,6 +408,34 @@ handleAdvise(const JsonValue &req)
     json.endObject();
     return out.str();
 }
+
+/** One serve op. */
+struct Op {
+    const char *name;
+    std::string (*handle)(const JsonValue &req, OpContext &ctx);
+};
+
+/** Every op: dispatch, the per-op counters and the did-you-mean
+ * suggestions all read this table. */
+const Op kOps[] = {
+    {"ping",
+     [](const JsonValue &, OpContext &) -> std::string {
+         return "{\"pong\": true}";
+     }},
+    {"eval", handleEval},
+    {"sweep", handleSweep},
+    {"explore", handleExplore},
+    {"advise", handleAdvise},
+    {"stats",
+     [](const JsonValue &, OpContext &ctx) {
+         return compactJson(ctx.service.statsReportJson());
+     }},
+    {"shutdown",
+     [](const JsonValue &, OpContext &ctx) -> std::string {
+         ctx.shutdown = true;
+         return "{\"shutting_down\": true}";
+     }},
+};
 
 } // namespace
 
@@ -500,12 +478,14 @@ ServeService::ServeService(const ServeOptions &options)
     // process() maps every request onto one of these op labels
     // ("unknown" for unrecognized ops, "invalid" for unparseable
     // requests), so commit() never needs to register a counter.
-    for (const char *op :
-         {"ping", "eval", "sweep", "explore", "advise", "stats",
-          "shutdown", "unknown", "invalid"})
-        stats_.ops[op] = &registry_.counter(
-            std::string("serve.op.") + op,
-            std::string("requests with op ") + op);
+    std::vector<std::string> labels;
+    for (const Op &op : kOps)
+        labels.push_back(op.name);
+    labels.push_back("unknown");
+    labels.push_back("invalid");
+    for (const std::string &op : labels)
+        stats_.ops[op] = &registry_.counter("serve.op." + op,
+                                            "requests with op " + op);
 }
 
 ServeService::~ServeService() = default;
@@ -531,13 +511,18 @@ ServeService::process(const std::string &line)
         std::string op = stringField(req, "op", "");
         if (op.empty())
             badRequest("missing \"op\" string");
-        bool known = false;
-        for (const std::string &cand : knownOps())
-            known = known || cand == op;
-        outcome.op = known ? op : "unknown";
-        if (!known)
+        const Op *handler = nullptr;
+        for (const Op &cand : kOps)
+            if (op == cand.name)
+                handler = &cand;
+        outcome.op = handler ? op : "unknown";
+        if (!handler) {
+            std::vector<std::string> names;
+            for (const Op &cand : kOps)
+                names.push_back(cand.name);
             badRequest("unknown op '" + op + "'" +
-                       didYouMean(op, knownOps()));
+                       didYouMean(op, names));
+        }
 
         Deadline deadline(req, t0);
         if (deadline.expired())
@@ -545,26 +530,11 @@ ServeService::process(const std::string &line)
                 ErrorKind::Deadline,
                 "deadline expired before processing began"}};
 
-        std::string result;
-        if (op == "ping") {
-            result = "{\"pong\": true}";
-        } else if (op == "eval") {
-            result = handleEval(cache_, req);
-            outcome.modelEvals = 1;
-        } else if (op == "sweep") {
-            result = handleSweep(cache_, req, deadline,
-                                 &outcome.sweepPoints);
-            outcome.modelEvals = outcome.sweepPoints;
-        } else if (op == "explore") {
-            result = handleExplore(req, &outcome.modelEvals);
-        } else if (op == "advise") {
-            result = handleAdvise(req);
-        } else if (op == "stats") {
-            result = compactJson(statsReportJson());
-        } else { // shutdown
-            outcome.shutdown = true;
-            result = "{\"shutting_down\": true}";
-        }
+        OpContext ctx{deadline, cache_, *this};
+        std::string result = handler->handle(req, ctx);
+        outcome.sweepPoints = ctx.sweepPoints;
+        outcome.modelEvals = ctx.modelEvals;
+        outcome.shutdown = ctx.shutdown;
         if (deadline.expired())
             throw RequestError{ServeError{
                 ErrorKind::Deadline,

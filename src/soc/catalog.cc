@@ -1,8 +1,45 @@
 #include "soc/catalog.h"
 
+#include "util/parse.h"
+#include "util/strings.h"
 #include "util/units.h"
 
 namespace gables {
+
+const std::vector<SocCatalog::Named> &
+SocCatalog::named()
+{
+    static const std::vector<Named> table = {
+        {"sd835", &snapdragon835, &snapdragon835Sim},
+        {"sd835-full", &snapdragon835Full, nullptr},
+        {"sd821", &snapdragon821, &snapdragon821Sim},
+        {"paper", &paperTwoIp, nullptr},
+        {"paper-balanced", &paperTwoIpBalanced, nullptr},
+    };
+    return table;
+}
+
+std::vector<std::string>
+SocCatalog::names(bool calibrated_only)
+{
+    std::vector<std::string> out;
+    for (const Named &n : named())
+        if (!calibrated_only || n.calibratedSim)
+            out.push_back(n.name);
+    return out;
+}
+
+const SocCatalog::Named &
+SocCatalog::entry(const std::string &name)
+{
+    const std::string key = name.empty() ? named().front().name : name;
+    for (const Named &n : named())
+        if (key == n.name)
+            return n;
+    std::vector<std::string> known = names();
+    fatal("unknown SoC '" + name + "'" + didYouMean(name, known) +
+          " (try " + join(known, ", ") + ")");
+}
 
 SocSpec
 SocCatalog::snapdragon835()

@@ -24,6 +24,8 @@
 #define GABLES_SOC_CATALOG_H
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/soc_spec.h"
 #include "sim/soc.h"
@@ -47,11 +49,31 @@ enum FullSocIp : size_t {
 };
 
 /**
- * Factory functions for catalog SoCs.
+ * Factory functions for catalog SoCs, and the one table of the names
+ * the CLI and the tools accept for them.
  */
 class SocCatalog
 {
   public:
+    /** A catalog SoC under its CLI name. calibratedSim is nullptr
+     * for SoCs without a calibrated simulator (see simFromSpec()). */
+    struct Named {
+        const char *name;
+        SocSpec (*spec)();
+        std::unique_ptr<sim::SimSoc> (*calibratedSim)();
+    };
+
+    /** @return sd835, sd835-full, sd821, paper, paper-balanced. */
+    static const std::vector<Named> &named();
+
+    /** @return named()'s names; only those with a calibrated
+     * simulator (sd835, sd821) when @p calibrated_only. */
+    static std::vector<std::string> names(bool calibrated_only = false);
+
+    /** @return The SoC called @p name ("" = sd835).
+     * @throws FatalError listing the names for an unknown one. */
+    static const Named &entry(const std::string &name);
+
     /**
      * Snapdragon-835-like three-IP Gables spec (CPU, GPU, DSP) with
      * the paper's measured rooflines.

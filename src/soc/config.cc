@@ -28,6 +28,14 @@ SocConfig::usecase(const std::string &name) const
           didYouMean(name, known));
 }
 
+const Usecase &
+SocConfig::select(const std::optional<std::string> &name) const
+{
+    if (usecases.empty())
+        fatal("config file declares no usecases");
+    return name ? usecase(*name) : usecases.front();
+}
+
 namespace {
 
 /** Parser state shared by the helpers: the diagnostic source name. */

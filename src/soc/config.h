@@ -59,6 +59,13 @@ struct SocConfig {
      * @throws FatalError if absent (with a did-you-mean suggestion
      *         over the declared usecase names). */
     const Usecase &usecase(const std::string &name) const;
+
+    /** @return The usecase named @p name, or the first one when
+     * @p name is absent — how `gables --file` and serve's "config"
+     * pick a usecase.
+     * @throws FatalError "config file declares no usecases" when the
+     *         file has none; as usecase() for an unknown name. */
+    const Usecase &select(const std::optional<std::string> &name) const;
 };
 
 /**

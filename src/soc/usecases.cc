@@ -1,6 +1,7 @@
 #include "soc/usecases.h"
 
 #include "soc/catalog.h"
+#include "util/parse.h"
 #include "util/units.h"
 
 namespace gables {
@@ -251,26 +252,56 @@ UsecaseCatalog::arNavigation()
     return UsecaseEntry{std::move(g), 30.0};
 }
 
+const std::vector<UsecaseCatalog::Keyed> &
+UsecaseCatalog::keyed()
+{
+    static const std::vector<Keyed> table = {
+        {"hdr", &hdrPlus},
+        {"capture", &videocapture},
+        {"hfr", &videocaptureHfr},
+        {"playback", &videoplaybackUi},
+        {"lens", &googleLens},
+        {"wifi", &wifiStreaming},
+        {"gaming", &gaming},
+        {"call", &videoCall},
+        {"ar", &arNavigation},
+    };
+    return table;
+}
+
+std::vector<std::string>
+UsecaseCatalog::keys()
+{
+    std::vector<std::string> out;
+    for (const Keyed &k : keyed())
+        out.push_back(k.key);
+    return out;
+}
+
+UsecaseEntry
+UsecaseCatalog::byKey(const std::string &key)
+{
+    for (const Keyed &k : keyed())
+        if (key == k.key)
+            return k.make();
+    fatal("unknown usecase '" + key + "'" + didYouMean(key, keys()));
+}
+
 std::vector<UsecaseEntry>
 UsecaseCatalog::all()
 {
     std::vector<UsecaseEntry> out;
-    out.push_back(hdrPlus());
-    out.push_back(videocapture());
-    out.push_back(videocaptureHfr());
-    out.push_back(videoplaybackUi());
-    out.push_back(googleLens());
-    out.push_back(wifiStreaming());
+    for (size_t i = 0; i < 6; ++i)
+        out.push_back(keyed()[i].make());
     return out;
 }
 
 std::vector<UsecaseEntry>
 UsecaseCatalog::extended()
 {
-    std::vector<UsecaseEntry> out = all();
-    out.push_back(gaming());
-    out.push_back(videoCall());
-    out.push_back(arNavigation());
+    std::vector<UsecaseEntry> out;
+    for (const Keyed &k : keyed())
+        out.push_back(k.make());
     return out;
 }
 
@@ -288,12 +319,8 @@ std::vector<std::pair<std::string, std::vector<bool>>>
 UsecaseCatalog::tableOneMatrix()
 {
     std::vector<std::pair<std::string, std::vector<bool>>> matrix;
-    std::vector<UsecaseEntry> camera;
-    camera.push_back(hdrPlus());
-    camera.push_back(videocapture());
-    camera.push_back(videocaptureHfr());
-    camera.push_back(videoplaybackUi());
-    camera.push_back(googleLens());
+    std::vector<UsecaseEntry> camera = all();
+    camera.pop_back(); // WiFi streaming is Figure 4's, not Table I's
 
     for (const UsecaseEntry &entry : camera) {
         std::vector<bool> active;

@@ -27,11 +27,29 @@ struct UsecaseEntry {
 };
 
 /**
- * Factories for the catalog usecases.
+ * Factories for the catalog usecases, and the one table of the short
+ * keys the CLI accepts for them.
  */
 class UsecaseCatalog
 {
   public:
+    /** A catalog usecase under its CLI key. */
+    struct Keyed {
+        const char *key;
+        UsecaseEntry (*make)();
+    };
+
+    /** @return hdr, capture, hfr, playback, lens, wifi, gaming, call,
+     * ar: the extended() entries in order. */
+    static const std::vector<Keyed> &keyed();
+
+    /** @return keyed()'s keys. */
+    static std::vector<std::string> keys();
+
+    /** @return The usecase under @p key.
+     * @throws FatalError with a did-you-mean over keys(). */
+    static UsecaseEntry byKey(const std::string &key);
+
     /** @name Frame-geometry constants used across usecases. */
     /** @{ */
     /** 4K YUV420 frame: 3840 x 2160 x 1.5 bytes ~ 12.4 MB. */
@@ -84,7 +102,8 @@ class UsecaseCatalog
      * Display, AP fusion. */
     static UsecaseEntry arNavigation();
 
-    /** All six Table I/Figure 4 entries, rows first. */
+    /** All six Table I/Figure 4 entries, rows first: the first six
+     * keyed() entries. */
     static std::vector<UsecaseEntry> all();
 
     /** Every catalog entry including the extended set (gaming,

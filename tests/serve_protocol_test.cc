@@ -207,6 +207,28 @@ TEST(ServeProtocol, BadConfigPathIsConfigErrorCode1)
     EXPECT_EQ(doc.at("error").at("kind").asString(), "config");
 }
 
+// The "config" branch picks its usecase through SocConfig::select(),
+// the rule `gables --file` uses: a file with no usecases answers a
+// config error with the CLI's message.
+TEST(ServeProtocol, ConfigWithoutUsecasesIsConfigError)
+{
+    std::string path = ::testing::TempDir() + "serve_empty_cfg.ini";
+    {
+        std::ofstream out(path);
+        out << "[soc]\nppeak = 40 Gops/s\nbpeak = 10 GB/s\n"
+               "[ip CPU]\naccel = 1\nbandwidth = 6 GB/s\n";
+    }
+    serve::ServeService service{serve::ServeOptions{}};
+    JsonValue doc = parseResponse(service.handleLine(
+        "{\"id\": 1, \"op\": \"eval\", \"config\": \"" + path +
+        "\"}"));
+    EXPECT_FALSE(doc.at("ok").asBool());
+    EXPECT_EQ(doc.at("error").at("kind").asString(), "config");
+    EXPECT_EQ(doc.at("error").at("message").asString(),
+              "config file declares no usecases");
+    std::remove(path.c_str());
+}
+
 TEST(ServeProtocol, MalformedConfigCarriesLocatedDiagnostic)
 {
     std::string path = ::testing::TempDir() + "serve_bad_cfg.ini";

@@ -67,8 +67,11 @@ class TestClient
 
     void send(const std::string &bytes)
     {
-        ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), 0),
-                  static_cast<ssize_t>(bytes.size()));
+        // MSG_NOSIGNAL: a peer that already closed fails the
+        // assertion instead of killing the test binary with SIGPIPE.
+        ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(bytes.size()))
+            << std::strerror(errno);
     }
 
     std::string recvLine()

@@ -154,5 +154,33 @@ TEST(MarketData, IpBlocksClimbPastThirty)
     EXPECT_GT(data.back().count, 30.0);
 }
 
+// One name table serves every lookup: spec, calibrated simulator,
+// and the unknown-name diagnostic that lists the names.
+TEST(SocCatalogNames, EveryNameResolvesThroughTheTable)
+{
+    EXPECT_EQ(SocCatalog::names(),
+              (std::vector<std::string>{"sd835", "sd835-full", "sd821",
+                                        "paper", "paper-balanced"}));
+    EXPECT_EQ(SocCatalog::names(true),
+              (std::vector<std::string>{"sd835", "sd821"}));
+    EXPECT_EQ(SocCatalog::entry("").spec().name(),
+              SocCatalog::snapdragon835().name());
+    EXPECT_EQ(SocCatalog::entry("paper-balanced").spec().bpeak(),
+              SocCatalog::paperTwoIpBalanced().bpeak());
+    EXPECT_EQ(SocCatalog::entry("sd835-full").spec().numIps(),
+              static_cast<size_t>(kNumFullSocIps));
+    EXPECT_EQ(SocCatalog::entry("sd821").calibratedSim()->name(),
+              SocCatalog::snapdragon821Sim()->name());
+    EXPECT_EQ(SocCatalog::entry("paper").calibratedSim, nullptr);
+    try {
+        SocCatalog::entry("sd83");
+        ADD_FAILURE() << "no error";
+    } catch (const FatalError &err) {
+        EXPECT_EQ(std::string(err.what()),
+                  "unknown SoC 'sd83' (did you mean 'sd835'?) (try "
+                  "sd835, sd835-full, sd821, paper, paper-balanced)");
+    }
+}
+
 } // namespace
 } // namespace gables

@@ -183,6 +183,22 @@ TEST(Config, UsecaseLookupSuggestsClosest)
     }
 }
 
+TEST(Config, SelectTakesTheNamedOrFirstUsecase)
+{
+    SocConfig cfg = parseSocConfig(kPaperConfig);
+    EXPECT_EQ(cfg.select(std::nullopt).name(), cfg.usecases.front().name());
+    EXPECT_EQ(cfg.select(std::string("6b")).name(), "6b");
+    EXPECT_THROW(cfg.select(std::string("6c")), FatalError);
+    cfg.usecases.clear();
+    try {
+        cfg.select(std::nullopt);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &err) {
+        EXPECT_EQ(std::string(err.what()),
+                  "config file declares no usecases");
+    }
+}
+
 TEST(Config, RejectsStructuralProblems)
 {
     EXPECT_THROW(parseSocConfig(""), FatalError); // no [soc]

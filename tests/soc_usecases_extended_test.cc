@@ -123,5 +123,24 @@ TEST(ExtendedUsecases, TableOneUnaffected)
     EXPECT_EQ(UsecaseCatalog::tableOneMatrix().size(), 5u);
 }
 
+// The key table is the catalog's one list: extended() and all()
+// follow its order, and byKey() resolves every key.
+TEST(ExtendedUsecases, KeysFollowTheCatalogOrder)
+{
+    std::vector<std::string> keys = UsecaseCatalog::keys();
+    EXPECT_EQ(keys, (std::vector<std::string>{"hdr", "capture", "hfr",
+                                              "playback", "lens", "wifi",
+                                              "gaming", "call", "ar"}));
+    std::vector<UsecaseEntry> extended = UsecaseCatalog::extended();
+    ASSERT_EQ(extended.size(), keys.size());
+    for (size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(UsecaseCatalog::byKey(keys[i]).graph.name(),
+                  extended[i].graph.name());
+    std::vector<UsecaseEntry> all = UsecaseCatalog::all();
+    ASSERT_EQ(all.size(), 6u);
+    EXPECT_EQ(all.back().graph.name(), "WiFi streaming");
+    EXPECT_THROW(UsecaseCatalog::byKey("playbak"), FatalError);
+}
+
 } // namespace
 } // namespace gables
