@@ -13,6 +13,9 @@
  *
  *  - evaluate_8ip: mutate-one-parameter + attainable() on a compiled
  *    8-IP evaluator — the steady-state sweep/advisor shape.
+ *  - compile_evaluate_4ip: compile a fresh 4-IP pair and run the full
+ *    evaluate — the shape of GablesModel::evaluate, of every
+ *    extension call and of a serve cache miss.
  *  - sweep_mixing_4096: a full Sweep::mixing grid, serial.
  *  - explorer_grid / explorer_grid_pruned: the 64x64 explorer cross
  *    product through exploreFrontier(), without and with subgrid
@@ -21,7 +24,10 @@
  *    workloads as one-point-at-a-time GablesEvaluator loops in this
  *    file, replaying the drivers' per-point mutation sequence, so
  *    the "*_simd_vs_scalar" speedups are a same-run,
- *    machine-independent measure of the packed lanes. Each loop's
+ *    machine-independent measure of the packed lanes. The scalar
+ *    evaluator is the width-1 instance of the same kernel the packs
+ *    instantiate at width 8, so these rows measure lane width and
+ *    per-point staging, not a second implementation. Each loop's
  *    output is checked bit-for-bit against the driver's.
  *  - explorer_grid_reference: the same grid evaluated the pre-
  *    evaluator way (SocSpec rebuild + GablesModel::evaluate per
@@ -235,6 +241,27 @@ measureEvaluate8Ip(int reps)
         double seconds = secondsSince(t0);
         benchmark::DoNotOptimize(acc);
         best.sample(seconds, kEvals);
+    }
+    return best.result();
+}
+
+/** Compile a fresh 4-IP pair and run the full evaluate: the shape of
+ * GablesModel::evaluate, of every extension call and of a serve cache
+ * miss. */
+Measurement
+measureCompileEvaluate4Ip(int reps)
+{
+    auto [soc, u] = synthetic(4, 5);
+    const uint64_t kCalls = 50000;
+    BestOf best;
+    for (int r = 0; r < reps; ++r) {
+        double acc = 0.0;
+        Clock::time_point t0 = Clock::now();
+        for (uint64_t i = 0; i < kCalls; ++i)
+            acc += GablesEvaluator(soc, u).evaluate().attainable;
+        double seconds = secondsSince(t0);
+        benchmark::DoNotOptimize(acc);
+        best.sample(seconds, kCalls);
     }
     return best.result();
 }
@@ -552,6 +579,7 @@ runManual(const std::string &json_path, int reps)
     // explorer_grid_reference does for the evaluator, and the
     // interleave keeps drift off the ratio.
     Measurement eval8 = measureEvaluate8Ip(reps);
+    Measurement compile4 = measureCompileEvaluate4Ip(reps);
     Measurement mixing, mixing_scalar;
     measureSweepMixing(std::max(1, reps / 4), mixing, mixing_scalar);
     Measurement grid_scalar;
@@ -563,6 +591,7 @@ runManual(const std::string &json_path, int reps)
         measureExplorerReference(std::max(1, reps / 4));
 
     printMeasurement("evaluate_8ip", eval8);
+    printMeasurement("compile_evaluate_4ip", compile4);
     printMeasurement("sweep_mixing_4096", mixing);
     printMeasurement("sweep_mixing_4096_scalar", mixing_scalar);
     printMeasurement("explorer_grid", grid);
@@ -603,6 +632,7 @@ runManual(const std::string &json_path, int reps)
     json.key("workloads");
     json.beginObject();
     writeMeasurement(json, "evaluate_8ip", eval8);
+    writeMeasurement(json, "compile_evaluate_4ip", compile4);
     writeMeasurement(json, "sweep_mixing_4096", mixing);
     writeMeasurement(json, "sweep_mixing_4096_scalar",
                      mixing_scalar);

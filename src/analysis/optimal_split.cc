@@ -96,6 +96,12 @@ OptimalSplitSolver::solve() const
         }
         fractions[i] = take;
         remaining -= take;
+        // placeableWork()'s stop rule: the budget can round a hair
+        // below 0, and the next IP's mem_cap (so its take) would
+        // then be negative. Infinite-intensity IPs sort first, so
+        // nothing after this point could still take work.
+        if (byte_budget <= 0.0)
+            break;
     }
     // Numerical residue: dump it on the last IP touched and
     // renormalize (it is O(eps)).

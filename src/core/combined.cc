@@ -1,8 +1,6 @@
 #include "core/combined.h"
 
-#include <algorithm>
-#include <cmath>
-
+#include "core/evaluator.h"
 #include "util/logging.h"
 
 namespace gables {
@@ -47,58 +45,35 @@ CombinedModel::setInterconnect(InterconnectModel interconnect)
 CombinedResult
 CombinedModel::evaluate(const SocSpec &soc, const Usecase &usecase) const
 {
-    GablesResult base = GablesModel::evaluate(soc, usecase);
-
-    CombinedResult result;
-    result.ips = base.ips;
-
-    // Memory interface sees filtered traffic (Eq. 15); buses see the
-    // full Di (the SRAM is on the memory side of the interconnect).
     if (memside_ && memside_->missRatios().size() != soc.numIps())
         fatal("combined model: memside/SoC IP count mismatch");
-    double filtered = 0.0;
-    for (size_t i = 0; i < base.ips.size(); ++i) {
-        double m = memside_ ? memside_->missRatio(i) : 1.0;
-        filtered += m * base.ips[i].dataBytes;
-    }
-    result.filteredBytes = filtered;
-    result.memoryTime = filtered / soc.bpeak();
 
-    // Bus terms (Eq. 16) over unfiltered traffic.
+    // The memory interface sees the filtered traffic mi * Di (Eq. 15);
+    // the buses see the full Di (Eq. 16), since the SRAM sits on the
+    // memory side of the interconnect.
+    SharedResources shared;
+    if (memside_)
+        shared.dramWeights = &memside_->missRatios();
     if (interconnect_) {
-        result.busTimes.assign(interconnect_->numBuses(), 0.0);
-        for (size_t j = 0; j < interconnect_->numBuses(); ++j) {
-            double bytes = 0.0;
-            for (size_t i = 0; i < soc.numIps(); ++i) {
-                if (interconnect_->uses(i, j))
-                    bytes += base.ips[i].dataBytes;
-            }
-            result.busTimes[j] =
-                bytes / interconnect_->buses()[j].bandwidth;
-        }
+        shared.buses = &interconnect_->buses();
+        shared.use = &interconnect_->useMatrix();
     }
+    GablesEvaluator ev(soc, usecase, shared);
+    GablesResult base = ev.evaluate();
 
-    // Bottleneck analysis over all terms.
-    double max_time = result.memoryTime;
-    result.bottleneck = CombinedBottleneck::Memory;
-    for (size_t i = 0; i < result.ips.size(); ++i) {
-        if (result.ips[i].time > max_time) {
-            max_time = result.ips[i].time;
-            result.bottleneck = CombinedBottleneck::Ip;
-            result.bottleneckIp = static_cast<int>(i);
-            result.bottleneckBus = -1;
-        }
-    }
-    for (size_t j = 0; j < result.busTimes.size(); ++j) {
-        if (result.busTimes[j] > max_time) {
-            max_time = result.busTimes[j];
-            result.bottleneck = CombinedBottleneck::Bus;
-            result.bottleneckBus = static_cast<int>(j);
-            result.bottleneckIp = -1;
-        }
-    }
-    GABLES_ASSERT(max_time > 0.0, "combined model: zero total time");
-    result.attainable = 1.0 / max_time;
+    CombinedResult result;
+    result.attainable = base.attainable;
+    result.ips = std::move(base.ips);
+    result.busTimes = ev.busTimes(0);
+    result.memoryTime = base.memoryTime;
+    result.filteredBytes = base.totalDataBytes;
+    result.bottleneckIp = base.bottleneckIp;
+    result.bottleneckBus = base.bottleneckBus;
+    result.bottleneck = base.bottleneck == BottleneckKind::Memory
+                            ? CombinedBottleneck::Memory
+                        : base.bottleneck == BottleneckKind::Bus
+                            ? CombinedBottleneck::Bus
+                            : CombinedBottleneck::Ip;
     return result;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/evaluator.h"
 #include "util/logging.h"
 
 namespace gables {
@@ -12,12 +13,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/**
- * Check that the usecase is index-aligned with the SoC and both are
- * internally valid.
- */
+} // namespace
+
 void
-checkPair(const SocSpec &soc, const Usecase &usecase)
+validatePair(const SocSpec &soc, const Usecase &usecase)
 {
     soc.validate();
     usecase.validate();
@@ -27,8 +26,6 @@ checkPair(const SocSpec &soc, const Usecase &usecase)
               " IP entries but SoC '" + soc.name() + "' has " +
               std::to_string(soc.numIps()) + " IPs");
 }
-
-} // namespace
 
 std::string
 toString(BottleneckKind kind)
@@ -40,6 +37,8 @@ toString(BottleneckKind kind)
         return "IP bandwidth";
       case BottleneckKind::Memory:
         return "memory interface";
+      case BottleneckKind::Bus:
+        return "bus bandwidth";
     }
     return "unknown";
 }
@@ -47,6 +46,9 @@ toString(BottleneckKind kind)
 std::string
 GablesResult::bottleneckLabel(const SocSpec &soc) const
 {
+    if (bottleneck == BottleneckKind::Bus)
+        return "bus[" + std::to_string(bottleneckBus) +
+               "] bandwidth (Bbus)";
     if (bottleneckIp < 0)
         return "memory interface (Bpeak)";
     const IpSpec &ip = soc.ip(static_cast<size_t>(bottleneckIp));
@@ -61,69 +63,13 @@ GablesResult::bottleneckLabel(const SocSpec &soc) const
 GablesResult
 GablesModel::evaluate(const SocSpec &soc, const Usecase &usecase)
 {
-    checkPair(soc, usecase);
-
-    GablesResult result;
-    const size_t n = soc.numIps();
-    result.ips.resize(n);
-
-    double max_time = 0.0;
-    double total_bytes = 0.0;
-
-    for (size_t i = 0; i < n; ++i) {
-        const IpWork &w = usecase.at(i);
-        IpTiming &t = result.ips[i];
-        if (w.fraction > 0.0) {
-            t.computeTime = w.fraction / soc.ipPeakPerf(i);
-            t.dataBytes =
-                std::isinf(w.intensity) ? 0.0 : w.fraction / w.intensity;
-            t.transferTime = t.dataBytes / soc.ip(i).bandwidth;
-            t.time = std::max(t.transferTime, t.computeTime);
-            t.perfBound = 1.0 / t.time;
-        } else {
-            // No work at this IP: it contributes no time and no
-            // traffic, and its scaled roofline is unbounded.
-            t.perfBound = kInf;
-        }
-        total_bytes += t.dataBytes;
-        max_time = std::max(max_time, t.time);
-    }
-
-    result.totalDataBytes = total_bytes;
-    result.memoryTime = total_bytes / soc.bpeak();
-    result.averageIntensity = usecase.averageIntensity();
-    result.memoryPerfBound = result.memoryTime > 0.0
-                                 ? 1.0 / result.memoryTime
-                                 : kInf;
-
-    max_time = std::max(max_time, result.memoryTime);
-    GABLES_ASSERT(max_time > 0.0,
-                  "usecase produced zero total time; Ppeak infinite?");
-    result.attainable = 1.0 / max_time;
-
-    // Bottleneck attribution: memory wins ties, then lowest IP index.
-    if (result.memoryTime >= max_time) {
-        result.bottleneckIp = -1;
-        result.bottleneck = BottleneckKind::Memory;
-    } else {
-        for (size_t i = 0; i < n; ++i) {
-            if (result.ips[i].time >= max_time) {
-                result.bottleneckIp = static_cast<int>(i);
-                result.bottleneck =
-                    result.ips[i].computeTime >= result.ips[i].transferTime
-                        ? BottleneckKind::IpCompute
-                        : BottleneckKind::IpBandwidth;
-                break;
-            }
-        }
-    }
-    return result;
+    return GablesEvaluator(soc, usecase).evaluate();
 }
 
 double
 GablesModel::attainablePerfForm(const SocSpec &soc, const Usecase &usecase)
 {
-    checkPair(soc, usecase);
+    validatePair(soc, usecase);
 
     double bound = kInf;
     for (size_t i = 0; i < soc.numIps(); ++i) {
@@ -150,7 +96,7 @@ double
 GablesModel::scaledIpRoofline(const SocSpec &soc, const Usecase &usecase,
                               size_t i, double intensity)
 {
-    checkPair(soc, usecase);
+    validatePair(soc, usecase);
     double f = usecase.fraction(i);
     if (f == 0.0)
         return kInf;

@@ -30,6 +30,8 @@ enum class BottleneckKind {
     IpBandwidth,
     /** The shared off-chip memory interface (Tmemory dominates). */
     Memory,
+    /** An interconnect bus (TBus[j] dominates, paper Eq. 17). */
+    Bus,
 };
 
 /** @return A short display string for a bottleneck kind. */
@@ -67,11 +69,14 @@ struct GablesResult {
     /** Per-IP timing details, index-aligned with the SoC's IPs. */
     std::vector<IpTiming> ips;
     /**
-     * Index of the bottleneck IP, or -1 when the memory interface is
-     * the bottleneck. Ties break toward the memory interface, then
-     * the lowest IP index (deterministic attribution).
+     * Index of the bottleneck IP, or -1 when the memory interface or
+     * a bus is the bottleneck. Ties break toward the memory
+     * interface, then the lowest IP index; a bus binds only when
+     * strictly slower (deterministic attribution).
      */
     int bottleneckIp = -1;
+    /** Index of the bottleneck bus (bottleneck == Bus), else -1. */
+    int bottleneckBus = -1;
     /** The kind of resource that limits performance. */
     BottleneckKind bottleneck = BottleneckKind::Memory;
 
@@ -79,12 +84,30 @@ struct GablesResult {
     std::string bottleneckLabel(const SocSpec &soc) const;
 };
 
+/** One interconnection network (colloquially, a bus) of the
+ * interconnect extension (paper Section V-B). */
+struct BusSpec {
+    /** Display name, e.g. "multimedia fabric". */
+    std::string name;
+    /** Bandwidth Bbus[j] (bytes/s). */
+    double bandwidth = 0.0;
+};
+
+/**
+ * Check that @p usecase is index-aligned with @p soc and both are
+ * internally valid: the check every model entry point performs.
+ *
+ * @throws FatalError describing the first violation.
+ */
+void validatePair(const SocSpec &soc, const Usecase &usecase);
+
 /**
  * Evaluator for the base Gables model.
  *
- * Stateless; all methods are static. Extensions (memory-side cache,
- * interconnect, serialized work) live in their own headers and reuse
- * these primitives.
+ * Stateless; all methods are static. evaluate() compiles the pair
+ * into the kernel (core/evaluator.h) and evaluates it; the
+ * extensions (memory-side cache, interconnect, serialized work) live
+ * in their own headers and are wrappers over the same kernel.
  */
 class GablesModel
 {

@@ -1,8 +1,6 @@
 #include "core/interconnect.h"
 
-#include <algorithm>
-#include <cmath>
-
+#include "core/evaluator.h"
 #include "util/logging.h"
 
 namespace gables {
@@ -73,38 +71,15 @@ InterconnectModel::evaluate(const SocSpec &soc,
               std::to_string(use_.size()) + " rows but SoC has " +
               std::to_string(soc.numIps()) + " IPs");
 
+    // One bus row per fabric, weighted by Use(i, j) (paper Eq. 16).
+    SharedResources shared;
+    shared.buses = &buses_;
+    shared.use = &use_;
+    GablesEvaluator ev(soc, usecase, shared);
     InterconnectResult result;
-    result.base = GablesModel::evaluate(soc, usecase);
-    result.busTimes.assign(buses_.size(), 0.0);
-
-    for (size_t j = 0; j < buses_.size(); ++j) {
-        double bytes = 0.0;
-        for (size_t i = 0; i < soc.numIps(); ++i) {
-            if (use_[i][j])
-                bytes += result.base.ips[i].dataBytes;
-        }
-        result.busTimes[j] = bytes / buses_[j].bandwidth;
-    }
-
-    double max_time = 1.0 / result.base.attainable;
-    double max_bus_time = 0.0;
-    int worst_bus = -1;
-    for (size_t j = 0; j < buses_.size(); ++j) {
-        if (result.busTimes[j] > max_bus_time) {
-            max_bus_time = result.busTimes[j];
-            worst_bus = static_cast<int>(j);
-        }
-    }
-
-    if (max_bus_time > max_time) {
-        // A bus is the new bottleneck (paper Eq. 17).
-        result.bottleneckBus = worst_bus;
-        result.base.attainable = 1.0 / max_bus_time;
-        result.base.bottleneckIp = -1;
-        // Classify as an interconnect-bandwidth bound; the nearest
-        // base-model category is IP bandwidth (a data-movement limit).
-        result.base.bottleneck = BottleneckKind::IpBandwidth;
-    }
+    ev.evaluate(result.base);
+    result.busTimes = ev.busTimes(0);
+    result.bottleneckBus = result.base.bottleneckBus;
     return result;
 }
 

@@ -17,17 +17,9 @@
 
 namespace gables {
 
-/** One interconnection network (colloquially, a bus). */
-struct BusSpec {
-    /** Display name, e.g. "multimedia fabric". */
-    std::string name;
-    /** Bandwidth Bbus[j] (bytes/s). */
-    double bandwidth = 0.0;
-};
-
 /** Result of an interconnect-extended evaluation. */
 struct InterconnectResult {
-    /** The base result (re-attributed if a bus is the bottleneck). */
+    /** The base result (attributed to a bus if one binds). */
     GablesResult base;
     /** Per-bus times TBus[j] (s per unit op). */
     std::vector<double> busTimes;
@@ -78,10 +70,14 @@ class InterconnectModel
     /** @return True if IP @p i uses bus @p j. */
     bool uses(size_t i, size_t j) const;
 
+    /** @return The Use(i, j) matrix, N rows of Q entries. */
+    const std::vector<std::vector<bool>> &useMatrix() const { return use_; }
+
     /**
-     * Evaluate with bus bottlenecks added (Eq. 17). With a single bus
-     * used by every IP whose bandwidth is >= the total demand rate,
-     * the result reduces to the base model.
+     * Evaluate with bus bottlenecks added (Eq. 17). A binding bus is
+     * reported as base.bottleneck == BottleneckKind::Bus. With a
+     * single bus used by every IP whose bandwidth is >= the total
+     * demand rate, the result reduces to the base model.
      */
     InterconnectResult evaluate(const SocSpec &soc,
                                 const Usecase &usecase) const;

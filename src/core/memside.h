@@ -40,9 +40,6 @@ class MemSideMemory
     /** @return The per-IP miss ratios. */
     const std::vector<double> &missRatios() const { return missRatios_; }
 
-    /** @return mi for IP @p i (bounds-checked). */
-    double missRatio(size_t i) const;
-
     /**
      * Evaluate the usecase with off-chip demand filtered by this
      * memory: identical to the base model except

@@ -1,7 +1,6 @@
 #include "core/serialized.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.h"
 
@@ -10,37 +9,28 @@ namespace gables {
 SerializedResult
 SerializedModel::evaluate(const SocSpec &soc, const Usecase &usecase)
 {
-    soc.validate();
-    usecase.validate();
-    if (usecase.numIps() != soc.numIps())
-        fatal("serialized model: usecase/SoC IP count mismatch");
+    const GablesResult base = GablesModel::evaluate(soc, usecase);
 
     SerializedResult result;
-    result.ipTimes.assign(soc.numIps(), 0.0);
-
+    result.ipTimes.resize(base.ips.size());
     double total = 0.0;
-    for (size_t i = 0; i < soc.numIps(); ++i) {
-        const IpWork &w = usecase.at(i);
-        if (w.fraction == 0.0)
-            continue;
-        double ci = w.fraction / soc.ipPeakPerf(i);
-        double di =
-            std::isinf(w.intensity) ? 0.0 : w.fraction / w.intensity;
-        double t = std::max({di / soc.bpeak(), di / soc.ip(i).bandwidth,
-                             ci});
+    double worst = -1.0;
+    for (size_t i = 0; i < base.ips.size(); ++i) {
+        // T'IP[i] = max(Di/Bpeak, Di/Bi, Ci) (paper Eq. 18): the
+        // kernel's per-IP terms plus the off-chip transfer. Idle IPs
+        // carry +0.0 in every term.
+        const IpTiming &ip = base.ips[i];
+        const double t = std::max(
+            {ip.dataBytes / soc.bpeak(), ip.transferTime, ip.computeTime});
         result.ipTimes[i] = t;
         total += t;
-    }
-    GABLES_ASSERT(total > 0.0, "serialized usecase has zero total time");
-    result.attainable = 1.0 / total;
-
-    double worst = -1.0;
-    for (size_t i = 0; i < result.ipTimes.size(); ++i) {
-        if (result.ipTimes[i] > worst) {
-            worst = result.ipTimes[i];
+        if (t > worst) {
+            worst = t;
             result.dominantIp = static_cast<int>(i);
         }
     }
+    GABLES_ASSERT(total > 0.0, "serialized usecase has zero total time");
+    result.attainable = 1.0 / total;
     result.dominantShare = worst / total;
     return result;
 }

@@ -35,6 +35,11 @@ SocSpec::validate() const
         if (!(ip.bandwidth > 0.0) || std::isinf(ip.bandwidth))
             fatal("SoC '" + name_ + "': IP[" + std::to_string(i) +
                   "] bandwidth must be positive and finite");
+        // An overflowing Ai*Ppeak would make Ci round to 0: the IP
+        // would look infinitely fast.
+        if (std::isinf(ip.acceleration * ppeak_))
+            fatal("SoC '" + name_ + "': IP[" + std::to_string(i) +
+                  "] peak performance Ai*Ppeak must be finite");
     }
 }
 

@@ -66,6 +66,17 @@ EvaluatorCache::size() const
     return lru_.size();
 }
 
+std::vector<std::shared_ptr<EvaluatorCache::Entry>>
+EvaluatorCache::entries() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<std::shared_ptr<Entry>> out;
+    out.reserve(lru_.size());
+    for (const Slot &slot : lru_)
+        out.push_back(slot.entry);
+    return out;
+}
+
 std::shared_ptr<EvaluatorCache::Entry>
 EvaluatorCache::acquire(const SocSpec &soc, const Usecase &usecase,
                         bool *hit)

@@ -27,6 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 #include <unordered_map>
 
 #include "core/evaluator.h"
@@ -82,6 +83,10 @@ class EvaluatorCache
 
     /** @return Current resident entries. */
     size_t size() const;
+
+    /** @return The resident entries, for a batch to tell which of
+     * its pairs were cached before it started. */
+    std::vector<std::shared_ptr<Entry>> entries() const;
 
     /** @name Lifetime counters (monotonic). */
     /** @{ */

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <optional>
 #include <sstream>
+#include <unordered_set>
 #include <utility>
 
 #include "analysis/advisor.h"
@@ -164,6 +165,8 @@ struct OpContext {
     uint64_t sweepPoints = 0;
     uint64_t modelEvals = 0;
     bool shutdown = false;
+    std::shared_ptr<EvaluatorCache::Entry> cacheEntry{};
+    bool cacheHit = false;
 };
 
 std::string
@@ -175,6 +178,8 @@ handleEval(const JsonValue &req, OpContext &ctx)
     bool hit = false;
     std::shared_ptr<EvaluatorCache::Entry> entry =
         ctx.cache.acquire(soc, usecase, &hit);
+    ctx.cacheEntry = entry;
+    ctx.cacheHit = hit;
     ctx.modelEvals = 1;
     // Reused across requests on this thread: evaluate() into warm
     // scratch performs no allocations.
@@ -239,6 +244,8 @@ handleSweep(const JsonValue &req, OpContext &ctx)
     bool hit = false;
     std::shared_ptr<EvaluatorCache::Entry> entry =
         ctx.cache.acquire(soc, usecase, &hit);
+    ctx.cacheEntry = entry;
+    ctx.cacheHit = hit;
     // The cached evaluator is only read (broadcast into a pack),
     // never mutated, so a mid-sweep error leaves the entry untouched.
     constexpr size_t W = GablesEvalPack::kWidth;
@@ -535,6 +542,8 @@ ServeService::process(const std::string &line)
         outcome.sweepPoints = ctx.sweepPoints;
         outcome.modelEvals = ctx.modelEvals;
         outcome.shutdown = ctx.shutdown;
+        outcome.cacheEntry = std::move(ctx.cacheEntry);
+        outcome.cacheHit = ctx.cacheHit;
         if (deadline.expired())
             throw RequestError{ServeError{
                 ErrorKind::Deadline,
@@ -611,6 +620,16 @@ ServeService::handleBatch(const std::vector<std::string> &lines)
     std::vector<std::string> responses;
     responses.reserve(lines.size());
     if (pool_ && lines.size() > 1) {
+        // Workers can finish requests out of order, so a pair's first
+        // request may find it cached by a later one. Report cache_hit
+        // as serial handling would: a hit iff the entry was resident
+        // before the batch or an earlier request of it used the entry.
+        // (Holding the entries keeps their addresses unique.)
+        const std::vector<std::shared_ptr<EvaluatorCache::Entry>> before =
+            cache_.entries();
+        std::unordered_set<const EvaluatorCache::Entry *> seen;
+        for (const auto &entry : before)
+            seen.insert(entry.get());
         std::vector<Outcome> outcomes(lines.size());
         pool_->forEach(lines.size(), [&](size_t i, int) {
             outcomes[i] = process(lines[i]);
@@ -618,6 +637,15 @@ ServeService::handleBatch(const std::vector<std::string> &lines)
         // Telemetry and the record tee commit in request order, so a
         // batch is observationally identical to serial handling.
         for (size_t i = 0; i < lines.size(); ++i) {
+            Outcome &o = outcomes[i];
+            if (o.cacheEntry) {
+                const bool hit = !seen.insert(o.cacheEntry.get()).second;
+                if (o.ok && hit != o.cacheHit) {
+                    const size_t at = o.response.rfind("\"cache_hit\":");
+                    o.response.replace(at + 12, o.cacheHit ? 4 : 5,
+                                       hit ? "true" : "false");
+                }
+            }
             commit(lines[i], outcomes[i]);
             responses.push_back(std::move(outcomes[i].response));
         }

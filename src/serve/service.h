@@ -124,6 +124,10 @@ class ServeService
          * = points served, explore = ExploreStats::evals). */
         uint64_t modelEvals = 0;
         double seconds = 0.0;
+        /** The cache entry an eval or sweep used, and whether its
+         * response says it was a hit. */
+        std::shared_ptr<EvaluatorCache::Entry> cacheEntry;
+        bool cacheHit = false;
     };
 
     /** Process one request without touching the stats registry

@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <optional>
+#include <vector>
 
 #include "analysis/optimal_split.h"
 #include "soc/catalog.h"
@@ -120,6 +124,66 @@ TEST(OptimalSplit, InvalidInputsRejected)
     SocSpec soc = SocCatalog::paperTwoIp();
     EXPECT_THROW(OptimalSplitSolver(soc, {1.0}), FatalError);
     EXPECT_THROW(OptimalSplitSolver(soc, {1.0, 0.0}), FatalError);
+}
+
+TEST(OptimalSplit, BudgetRoundingBelowZeroStopsTheFill)
+{
+    // A pair from the serve benchmark's advise mix: after IP[1] and
+    // IP[2] are filled the byte budget rounds to a hair below zero,
+    // and the fill used to hand IP[0] a negative fraction (the
+    // Usecase constructor then threw "fraction f[0] must be in
+    // [0, 1]").
+    SocSpec soc("seed 4 pair 238", 0x1.ca0e20750f4fcp+33,
+                0x1.0309800429e75p+34,
+                {IpSpec{"IP0", 1.0, 0x1.c5aa64bd5f44cp+33},
+                 IpSpec{"IP1", 0x1.32ca4ec705736p+5, 0x1.a457484d6c219p+34},
+                 IpSpec{"IP2", 0x1.4f61e9c1680ap+4, 0x1.5b6a5433d31a3p+32}});
+    OptimalSplitSolver solver(
+        soc, {0x1.031abca12a5c1p+1, 0x1.30fd794fedd5bp+5,
+              0x1.7dbc01a75e3f4p+1});
+    OptimalSplit r = solver.solve();
+    for (double f : r.fractions) {
+        EXPECT_GE(f, 0.0);
+        EXPECT_LE(f, 1.0);
+    }
+    EXPECT_EQ(r.fractions[0], 0.0);
+    EXPECT_NEAR(r.attainable, solver.placeableWork(1.0),
+                solver.placeableWork(1.0) * 1e-9);
+}
+
+TEST(OptimalSplit, GeneratedInputsGiveValidFractions)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    Rng rng(0x5911);
+    for (int c = 0; c < 2000; ++c) {
+        SCOPED_TRACE("case " + std::to_string(c));
+        const size_t n = static_cast<size_t>(rng.uniformInt(1, 16));
+        std::vector<IpSpec> ips;
+        std::vector<double> intensities;
+        for (size_t i = 0; i < n; ++i) {
+            // Bandwidths skewed over four decades around the memory
+            // interface's.
+            ips.push_back(IpSpec{"IP" + std::to_string(i),
+                                 i == 0 ? 1.0 : rng.uniform(0.5, 40.0),
+                                 rng.logUniform(1e8, 1e12)});
+            intensities.push_back(rng.uniformInt(0, 7) == 0
+                                      ? inf
+                                      : rng.logUniform(0.05, 100.0));
+        }
+        SocSpec soc("generated", rng.uniform(4e9, 16e9),
+                    rng.logUniform(1e9, 1e11), std::move(ips));
+        std::optional<OptimalSplit> r;
+        ASSERT_NO_THROW(
+            r.emplace(OptimalSplitSolver(soc, intensities).solve()));
+        ASSERT_EQ(r->fractions.size(), n);
+        for (double f : r->fractions) {
+            EXPECT_GE(f, 0.0);
+            EXPECT_LE(f, 1.0);
+        }
+        EXPECT_NEAR(std::accumulate(r->fractions.begin(),
+                                    r->fractions.end(), 0.0),
+                    1.0, 1e-12);
+    }
 }
 
 } // namespace

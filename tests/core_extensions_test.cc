@@ -137,6 +137,12 @@ TEST(Interconnect, NarrowBusBecomesBottleneck)
     InterconnectResult r = ic.evaluate(soc, u);
     EXPECT_EQ(r.bottleneckBus, 0);
     EXPECT_DOUBLE_EQ(r.base.attainable, 8e9);
+    // The base result names the bus, not the memory interface.
+    EXPECT_EQ(r.base.bottleneck, BottleneckKind::Bus);
+    EXPECT_EQ(r.base.bottleneckBus, 0);
+    EXPECT_EQ(r.base.bottleneckIp, -1);
+    EXPECT_EQ(r.base.bottleneckLabel(soc), "bus[0] bandwidth (Bbus)");
+    EXPECT_EQ(toString(r.base.bottleneck), "bus bandwidth");
 }
 
 TEST(Interconnect, Eq16OnlyCountsUsers)
