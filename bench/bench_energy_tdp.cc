@@ -8,8 +8,6 @@
  * one-tenth the power).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.h"
@@ -88,27 +86,11 @@ reproduce()
                  "performance available inside the same 3 W\n";
 }
 
-void
-BM_EnergyEvaluate(benchmark::State &state)
-{
-    SocSpec soc = SocCatalog::snapdragon835();
-    EnergyModel energy = sd835Energy();
-    Usecase u("u", {IpWork{0.1, 8.0}, IpWork{0.8, 16.0},
-                    IpWork{0.1, 4.0}});
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            energy.evaluate(soc, u, 3.0).constrained);
-    }
-}
-BENCHMARK(BM_EnergyEvaluate);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -17,7 +17,6 @@
  * tolerance. Run with --reps N to scale measurement time.
  */
 
-#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <iostream>
@@ -35,13 +34,7 @@
 namespace {
 
 using namespace gables;
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using namespace gables::bench;
 
 /** Two identical IPs contending for one DRAM; tiny requests so the
  * run is dense in events (every chunk is two event dispatches). */
@@ -74,42 +67,6 @@ streamJob(double total_bytes, double intensity)
     job.opsPerByte = intensity;
     return job;
 }
-
-struct Measurement {
-    double eventsPerSec = 0.0;
-    double nsPerEvent = 0.0;
-    double runsPerSec = 0.0;
-    uint64_t events = 0;
-    double seconds = 0.0; // wall time of the best (fastest) rep
-};
-
-/**
- * Each rep is timed on its own and the fastest rep is reported: the
- * minimum is the measurement least disturbed by scheduler and
- * frequency noise, which keeps the committed baseline stable for the
- * CI regression gate. `events` and the rates describe that best rep.
- */
-class BestOf
-{
-  public:
-    void sample(double seconds, uint64_t events, uint64_t runs)
-    {
-        double rate = static_cast<double>(events) / seconds;
-        if (rate <= best_.eventsPerSec)
-            return;
-        best_.eventsPerSec = rate;
-        best_.nsPerEvent =
-            1e9 * seconds / static_cast<double>(events);
-        best_.runsPerSec = static_cast<double>(runs) / seconds;
-        best_.events = events;
-        best_.seconds = seconds;
-    }
-
-    const Measurement &result() const { return best_; }
-
-  private:
-    Measurement best_;
-};
 
 /** The event-dense contended workload: events/sec is the headline. */
 Measurement
@@ -178,30 +135,6 @@ measureErtShape(int reps)
     return best.result();
 }
 
-void
-writeMeasurement(JsonWriter &json, const std::string &name,
-                 const Measurement &m)
-{
-    json.key(name);
-    json.beginObject();
-    json.kv("events_per_sec", m.eventsPerSec);
-    json.kv("ns_per_event", m.nsPerEvent);
-    json.kv("runs_per_sec", m.runsPerSec);
-    json.kv("events", static_cast<size_t>(m.events));
-    json.kv("seconds", m.seconds);
-    json.endObject();
-}
-
-void
-printMeasurement(const std::string &name, const Measurement &m)
-{
-    std::cout << "  " << name << ": "
-              << formatDouble(m.eventsPerSec / 1e6, 2)
-              << " M events/s, "
-              << formatDouble(m.nsPerEvent, 1) << " ns/event, "
-              << formatDouble(m.runsPerSec, 1) << " runs/s\n";
-}
-
 } // namespace
 
 int
@@ -225,8 +158,8 @@ main(int argc, char **argv)
     if (reps < 1)
         reps = 1;
 
-    bench::banner("Simulation hot path",
-                  "event throughput on sweep/ERT-shaped workloads");
+    banner("Simulation hot path",
+           "event throughput on sweep/ERT-shaped workloads");
 
     // Warm up allocators and the event pool so steady-state rates are
     // measured, not first-touch costs.
@@ -236,9 +169,9 @@ main(int argc, char **argv)
     Measurement sweep = measureSweepShape(std::max(1, reps / 4));
     Measurement ert = measureErtShape(std::max(1, reps / 4));
 
-    printMeasurement("event_dense_2ip", dense);
-    printMeasurement("sweep_shape", sweep);
-    printMeasurement("ert_shape", ert);
+    printMeasurement("event_dense_2ip", dense, "event");
+    printMeasurement("sweep_shape", sweep, "event");
+    printMeasurement("ert_shape", ert, "event");
 
     if (!json_path.empty()) {
         std::ostringstream out;
@@ -252,9 +185,9 @@ main(int argc, char **argv)
         json.kv("reps", reps);
         json.key("workloads");
         json.beginObject();
-        writeMeasurement(json, "event_dense_2ip", dense);
-        writeMeasurement(json, "sweep_shape", sweep);
-        writeMeasurement(json, "ert_shape", ert);
+        writeMeasurement(json, "event_dense_2ip", dense, "event");
+        writeMeasurement(json, "sweep_shape", sweep, "event");
+        writeMeasurement(json, "ert_shape", ert, "event");
         json.endObject();
         json.endObject();
         writeFileAtomic(json_path, out.str());

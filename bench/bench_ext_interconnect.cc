@@ -6,8 +6,6 @@
  * and shows when a shared bus becomes the usecase bottleneck.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.h"
@@ -65,28 +63,11 @@ reproduce()
                  "bottleneck (Eq. 17)\n";
 }
 
-void
-BM_InterconnectEvaluate(benchmark::State &state)
-{
-    SocSpec soc = SocCatalog::snapdragon835();
-    Usecase u("stream", {IpWork{0.2, 1.0}, IpWork{0.6, 2.0},
-                         IpWork{0.2, 0.5}});
-    InterconnectModel hier = InterconnectModel::hierarchy(
-        {"hb", "sys"}, {128e9, 12.5e9}, {0, 0, 1}, 0.0);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            hier.evaluate(soc, u).base.attainable);
-    }
-}
-BENCHMARK(BM_InterconnectEvaluate);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,8 +6,6 @@
  * the SRAM via the fractional-fit model.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.h"
@@ -73,25 +71,11 @@ reproduce()
                  "pitfall)\n";
 }
 
-void
-BM_MemSideEvaluate(benchmark::State &state)
-{
-    SocSpec soc = SocCatalog::paperTwoIp();
-    Usecase u = Usecase::twoIp("6b", 0.75, 8.0, 0.1);
-    MemSideMemory ext = MemSideMemory::uniform(2, 0.5);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(ext.evaluate(soc, u).attainable);
-    }
-}
-BENCHMARK(BM_MemSideEvaluate);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

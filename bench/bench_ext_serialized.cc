@@ -7,8 +7,6 @@
  * bandwidth-starved usecases.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.h"
@@ -101,39 +99,11 @@ reproduce()
                  "and Bpeak (Section VI)\n";
 }
 
-void
-BM_SerializedEvaluate(benchmark::State &state)
-{
-    SocSpec soc = SocCatalog::snapdragon835();
-    Usecase u("b", {IpWork{0.1, 1.0}, IpWork{0.85, 2.0},
-                    IpWork{0.05, 0.5}});
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            SerializedModel::evaluate(soc, u).attainable);
-    }
-}
-BENCHMARK(BM_SerializedEvaluate);
-
-void
-BM_MultiAmdahlOptimize(benchmark::State &state)
-{
-    SocSpec soc = SocCatalog::snapdragon835();
-    Usecase u("u", {IpWork{0.25, 8.0}, IpWork{0.7, 4.0},
-                    IpWork{0.05, 1.0}});
-    MultiAmdahlModel ma = multiAmdahlFromGables(soc, u, 100.0);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(ma.optimize().performance);
-    }
-}
-BENCHMARK(BM_MultiAmdahlOptimize);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

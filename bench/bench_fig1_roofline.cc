@@ -5,8 +5,6 @@
  * bandwidth ceilings — and demonstrates ridge-point reasoning.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <fstream>
 #include <iostream>
 
@@ -50,25 +48,11 @@ reproduce()
               << plot.renderAscii();
 }
 
-void
-BM_RooflineAttainable(benchmark::State &state)
-{
-    Roofline chip(64e9, 16e9);
-    double i = 0.1;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(chip.attainable(i));
-        i = i < 100.0 ? i * 1.1 : 0.1;
-    }
-}
-BENCHMARK(BM_RooflineAttainable);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -5,8 +5,6 @@
  * reconstructed shape-faithfully (see DESIGN.md).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <fstream>
 #include <iostream>
 
@@ -70,24 +68,11 @@ reproduce()
     std::cout << "wrote fig2b_ipblocks.svg\n";
 }
 
-void
-BM_SeriesRender(benchmark::State &state)
-{
-    SeriesPlot p("bench", "x", "y");
-    p.addSeries(toSeries(MarketData::chipsetsPerYear(), "c"));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(p.renderSvg().size());
-    }
-}
-BENCHMARK(BM_SeriesRender);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

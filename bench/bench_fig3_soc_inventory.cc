@@ -5,8 +5,6 @@
  * and the fabric hierarchy of the simulated chip.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <fstream>
 #include <iostream>
 
@@ -57,23 +55,11 @@ reproduce()
         << "  (paper: IPs cluster into fabrics by bandwidth needs)\n";
 }
 
-void
-BM_CatalogConstruction(benchmark::State &state)
-{
-    for (auto _ : state) {
-        SocSpec soc = SocCatalog::snapdragon835Full();
-        benchmark::DoNotOptimize(soc.numIps());
-    }
-}
-BENCHMARK(BM_CatalogConstruction);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -2,11 +2,8 @@
  * @file
  * Regenerates Figure 6a-6d (and the appendix's exact numbers): the
  * two-IP Gables walkthrough. Prints the appendix table paper-vs-
- * computed, renders the four scaled-roofline plots as SVG files,
- * then times model evaluation with google-benchmark.
+ * computed and renders the four scaled-roofline plots as SVG files.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <fstream>
 #include <iostream>
@@ -77,37 +74,11 @@ reproduce()
     }
 }
 
-void
-BM_GablesEvaluateTwoIp(benchmark::State &state)
-{
-    SocSpec soc = SocCatalog::paperTwoIp();
-    Usecase u = Usecase::twoIp("bench", 0.75, 8.0, 0.1);
-    for (auto _ : state) {
-        GablesResult r = GablesModel::evaluate(soc, u);
-        benchmark::DoNotOptimize(r.attainable);
-    }
-}
-BENCHMARK(BM_GablesEvaluateTwoIp);
-
-void
-BM_GablesPerfFormTwoIp(benchmark::State &state)
-{
-    SocSpec soc = SocCatalog::paperTwoIp();
-    Usecase u = Usecase::twoIp("bench", 0.75, 8.0, 0.1);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            GablesModel::attainablePerfForm(soc, u));
-    }
-}
-BENCHMARK(BM_GablesPerfFormTwoIp);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -3,10 +3,8 @@
  * Regenerates Figure 7 (a: CPU roofline, b: GPU roofline) by running
  * the ERT micro-benchmark on the simulated Snapdragon 835 and
  * fitting rooflines, compared against the paper's measured anchors.
- * Also emits the SVG rooflines and times a full ERT sweep.
+ * Also emits the SVG rooflines.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <fstream>
 #include <iostream>
@@ -64,21 +62,6 @@ reproduceEngine(const char *engine, const char *figure,
     std::cout << "wrote " << path << '\n';
 }
 
-void
-BM_ErtSweepCpu(benchmark::State &state)
-{
-    auto soc = SocCatalog::snapdragon835Sim();
-    ErtConfig config;
-    config.intensities = {0.125, 1.0, 8.0};
-    config.workingSetBytes = 16e6;
-    config.totalBytes = 16e6;
-    for (auto _ : state) {
-        auto samples = ErtSweep::run(*soc, "CPU", config);
-        benchmark::DoNotOptimize(samples.back().opsRate);
-    }
-}
-BENCHMARK(BM_ErtSweepCpu)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 void
@@ -106,12 +89,10 @@ reproduceSd821()
 }
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduceEngine("CPU", "Figure 7a", 7.5, 15.1);
     reproduceEngine("GPU", "Figure 7b", 349.6, 24.4);
     reproduceSd821();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

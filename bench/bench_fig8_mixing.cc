@@ -10,8 +10,6 @@
  * coordination, the comparison the paper draws in Section IV-C).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <fstream>
 #include <iostream>
 
@@ -149,23 +147,11 @@ reproduce()
               << map.renderAscii();
 }
 
-void
-BM_MixingPoint(benchmark::State &state)
-{
-    auto soc = SocCatalog::snapdragon835Sim();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(mixingPoint(*soc, 0.5, 16.0));
-    }
-}
-BENCHMARK(BM_MixingPoint)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,8 +6,6 @@
  * below the CPU's and GPU's.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <fstream>
 #include <iostream>
 
@@ -62,28 +60,11 @@ reproduce()
     std::cout << "wrote fig9_dsp.svg\n";
 }
 
-void
-BM_ErtSweepDsp(benchmark::State &state)
-{
-    auto soc = SocCatalog::snapdragon835Sim();
-    ErtConfig config;
-    config.intensities = {0.125, 1.0, 8.0};
-    config.workingSetBytes = 16e6;
-    config.totalBytes = 16e6;
-    for (auto _ : state) {
-        auto samples = ErtSweep::run(*soc, "DSP", config);
-        benchmark::DoNotOptimize(samples.back().opsRate);
-    }
-}
-BENCHMARK(BM_ErtSweepDsp)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

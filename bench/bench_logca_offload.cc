@@ -7,8 +7,6 @@
  * from different coordinates: small/low-reuse work stays on the CPU.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
 
@@ -81,28 +79,11 @@ reproduce()
            "existence.\n";
 }
 
-void
-BM_LogCABreakEven(benchmark::State &state)
-{
-    LogCAModel::Params p;
-    p.overhead = 50e-6;
-    p.latency = 0.5e-6;
-    p.computePerItem = 10e-6;
-    p.acceleration = 8.0;
-    LogCAModel logca(p);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(logca.breakEvenGranularity());
-    }
-}
-BENCHMARK(BM_LogCABreakEven);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

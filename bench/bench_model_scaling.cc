@@ -1,15 +1,11 @@
 /**
  * @file
- * Ablation 4: cost of the model itself. The paper pitches Gables as
- * an early-stage tool usable interactively and inside optimizers;
- * these google-benchmark timings show evaluation scales linearly in
- * N and stays in the nanosecond-to-microsecond regime even for
- * 1024-IP chips, and that the design-space explorer and optimal-
- * split solver are interactive-speed.
- *
- * With --json PATH the binary switches to a manual best-of-N harness
- * over the analytic hot-path workloads and writes
- * BENCH_model_eval.json for the perf-regression trajectory:
+ * Ablation 4 and the analytic hot-path harness: the cost of the model
+ * itself. The paper pitches Gables as an early-stage tool usable
+ * interactively and inside optimizers. One best-of-N harness times
+ * the analytic hot-path workloads, prints them and, with --json PATH,
+ * writes them as BENCH_model_eval.json for the perf-regression
+ * trajectory:
  *
  *  - evaluate_8ip: mutate-one-parameter + attainable() on a compiled
  *    8-IP evaluator — the steady-state sweep/advisor shape.
@@ -34,16 +30,18 @@
  *    design) — the denominator of the reported speedups, measured in
  *    the same run so the ratio cancels machine speed.
  *
+ * Then it prints the Ablation 4 rows, which the JSON leaves out:
+ * GablesModel::evaluate and compiled mutate + attainable() on
+ * synthetic N-IP chips, N = 2 ... 1024 — evaluation cost is linear in
+ * N and stays in the nanosecond-to-microsecond regime.
+ *
  * CI compares the committed baseline with a generous tolerance and
  * asserts the evaluator speedup stays above its floor. Run with
  * --reps N to scale measurement time.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <sstream>
@@ -53,8 +51,6 @@
 #include <vector>
 
 #include "analysis/explorer.h"
-#include "analysis/optimal_split.h"
-#include "analysis/sensitivity.h"
 #include "analysis/sweep.h"
 #include "bench_util.h"
 #include "core/evaluator.h"
@@ -65,11 +61,12 @@
 #include "util/logging.h"
 #include "util/parse.h"
 #include "util/rng.h"
+#include "util/table.h"
 
 namespace {
 
 using namespace gables;
-using Clock = std::chrono::steady_clock;
+using namespace gables::bench;
 
 /** Build a synthetic N-IP SoC and matching usecase. */
 std::pair<SocSpec, Usecase>
@@ -90,137 +87,6 @@ synthetic(size_t n, uint64_t seed)
     return {soc, Usecase("synthetic", std::move(work))};
 }
 
-void
-BM_EvaluateNIp(benchmark::State &state)
-{
-    auto [soc, u] = synthetic(static_cast<size_t>(state.range(0)), 7);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            GablesModel::evaluate(soc, u).attainable);
-    }
-    state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_EvaluateNIp)->RangeMultiplier(4)->Range(2, 1024)
-    ->Complexity(benchmark::oN);
-
-void
-BM_CompiledEvaluatorNIp(benchmark::State &state)
-{
-    auto [soc, u] = synthetic(static_cast<size_t>(state.range(0)), 7);
-    GablesEvaluator ev(soc, u);
-    double vals[4] = {0.5, 2.0, 8.0, 32.0};
-    size_t i = 0;
-    for (auto _ : state) {
-        ev.setIntensity(1, vals[i++ & 3]);
-        benchmark::DoNotOptimize(ev.attainable());
-    }
-    state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_CompiledEvaluatorNIp)->RangeMultiplier(4)->Range(2, 1024)
-    ->Complexity(benchmark::oN);
-
-void
-BM_PerfFormNIp(benchmark::State &state)
-{
-    auto [soc, u] = synthetic(static_cast<size_t>(state.range(0)), 7);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            GablesModel::attainablePerfForm(soc, u));
-    }
-}
-BENCHMARK(BM_PerfFormNIp)->Range(2, 1024);
-
-void
-BM_OptimalSplitNIp(benchmark::State &state)
-{
-    size_t n = static_cast<size_t>(state.range(0));
-    auto [soc, u] = synthetic(n, 11);
-    Rng rng(13);
-    std::vector<double> intensities;
-    for (size_t i = 0; i < n; ++i)
-        intensities.push_back(rng.logUniform(0.1, 64.0));
-    OptimalSplitSolver solver(soc, intensities);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(solver.solve().attainable);
-    }
-}
-BENCHMARK(BM_OptimalSplitNIp)->Range(2, 256);
-
-void
-BM_SensitivityNIp(benchmark::State &state)
-{
-    auto [soc, u] = synthetic(static_cast<size_t>(state.range(0)),
-                              17);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            Sensitivity::analyze(soc, u).size());
-    }
-}
-BENCHMARK(BM_SensitivityNIp)->Range(2, 64);
-
-void
-BM_Explorer1kDesigns(benchmark::State &state)
-{
-    auto [soc, u] = synthetic(3, 23);
-    CostModel cost;
-    cost.costPerBpeak = 1e-9;
-    DesignExplorer ex(soc, {u}, cost);
-    std::vector<double> bpeaks, accels;
-    for (int i = 0; i < 32; ++i)
-        bpeaks.push_back((i + 1) * 2e9);
-    for (int i = 0; i < 32; ++i)
-        accels.push_back(1.0 + i);
-    ex.sweepBpeak(bpeaks);
-    ex.sweepAcceleration(1, accels);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(ex.explore().size()); // 1024 designs
-    }
-}
-BENCHMARK(BM_Explorer1kDesigns)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------
-// Manual best-of-N harness (--json mode).
-// ---------------------------------------------------------------
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-struct Measurement {
-    double itemsPerSec = 0.0;
-    double nsPerItem = 0.0;
-    uint64_t items = 0;
-    double seconds = 0.0; // wall time of the best (fastest) rep
-};
-
-/**
- * Each rep is timed on its own and the fastest rep is reported: the
- * minimum is the measurement least disturbed by scheduler and
- * frequency noise, which keeps the committed baseline stable for the
- * CI regression gate.
- */
-class BestOf
-{
-  public:
-    void sample(double seconds, uint64_t items)
-    {
-        double rate = static_cast<double>(items) / seconds;
-        if (rate <= best_.itemsPerSec)
-            return;
-        best_.itemsPerSec = rate;
-        best_.nsPerItem = 1e9 * seconds / static_cast<double>(items);
-        best_.items = items;
-        best_.seconds = seconds;
-    }
-
-    const Measurement &result() const { return best_; }
-
-  private:
-    Measurement best_;
-};
-
 /** Single-parameter mutation + attainable() on a compiled 8-IP
  * evaluator: the steady-state shape of every sweep/advisor probe. */
 Measurement
@@ -239,7 +105,7 @@ measureEvaluate8Ip(int reps)
             acc += ev.attainable();
         }
         double seconds = secondsSince(t0);
-        benchmark::DoNotOptimize(acc);
+        consume(acc);
         best.sample(seconds, kEvals);
     }
     return best.result();
@@ -260,7 +126,7 @@ measureCompileEvaluate4Ip(int reps)
         for (uint64_t i = 0; i < kCalls; ++i)
             acc += GablesEvaluator(soc, u).evaluate().attainable;
         double seconds = secondsSince(t0);
-        benchmark::DoNotOptimize(acc);
+        consume(acc);
         best.sample(seconds, kCalls);
     }
     return best.result();
@@ -534,40 +400,80 @@ measureExplorerReference(int reps)
             }
         }
         double seconds = secondsSince(t0);
-        benchmark::DoNotOptimize(acc);
+        consume(acc);
         best.sample(seconds, designs);
     }
     return best.result();
 }
 
+/**
+ * Ablation 4: GablesModel::evaluate (validate + compile + evaluate)
+ * and a compiled evaluator's mutate + attainable() on synthetic N-IP
+ * chips. Every N runs the same number of IP-evaluations per rep, so
+ * the ns-per-IP columns stay flat when the cost is linear in N.
+ */
 void
-writeMeasurement(JsonWriter &json, const std::string &name,
-                 const Measurement &m)
+printScaling(int reps)
 {
-    json.key(name);
-    json.beginObject();
-    json.kv("items_per_sec", m.itemsPerSec);
-    json.kv("ns_per_item", m.nsPerItem);
-    json.kv("items", static_cast<size_t>(m.items));
-    json.kv("seconds", m.seconds);
-    json.endObject();
+    banner("Ablation 4", "model-evaluation cost vs N");
+    const uint64_t kIpEvals = uint64_t{1} << 17;
+    TextTable t({"N", "evaluate ns", "ns/IP", "compiled ns",
+                 "ns/IP"});
+    for (size_t n : {2, 4, 16, 64, 256, 1024}) {
+        auto [soc, u] = synthetic(n, 7);
+        const uint64_t calls = std::max<uint64_t>(1, kIpEvals / n);
+        GablesEvaluator ev(soc, u);
+        double vals[4] = {0.5, 2.0, 8.0, 32.0};
+        BestOf model, compiled;
+        for (int r = 0; r < reps; ++r) {
+            double acc = 0.0;
+            Clock::time_point t0 = Clock::now();
+            for (uint64_t i = 0; i < calls; ++i)
+                acc += GablesModel::evaluate(soc, u).attainable;
+            model.sample(secondsSince(t0), calls);
+
+            t0 = Clock::now();
+            for (uint64_t i = 0; i < calls; ++i) {
+                ev.setIntensity(1, vals[i & 3]);
+                acc += ev.attainable();
+            }
+            compiled.sample(secondsSince(t0), calls);
+            consume(acc);
+        }
+        const double nm = model.result().nsPer;
+        const double nc = compiled.result().nsPer;
+        const double ips = static_cast<double>(n);
+        t.addRow({std::to_string(n), formatDouble(nm, 1),
+                  formatDouble(nm / ips, 2), formatDouble(nc, 1),
+                  formatDouble(nc / ips, 2)});
+    }
+    std::cout << t.render();
 }
 
-void
-printMeasurement(const std::string &name, const Measurement &m)
-{
-    std::cout << "  " << name << ": "
-              << formatDouble(m.itemsPerSec / 1e6, 3)
-              << " M items/s, " << formatDouble(m.nsPerItem, 1)
-              << " ns/item\n";
-}
+} // namespace
 
 int
-runManual(const std::string &json_path, int reps)
+main(int argc, char **argv)
 {
-    bench::banner("Analytic hot path",
-                  "compiled-evaluator throughput vs the rebuild-and-"
-                  "revalidate reference");
+    std::string json_path;
+    int reps = 20;
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg == "--json" && i + 1 < argc) {
+            json_path = argv[++i];
+        } else if (arg == "--reps" && i + 1 < argc) {
+            reps = static_cast<int>(
+                parseIntInRange(argv[++i], 1, 1000000, "--reps"));
+        } else {
+            std::cerr << "usage: bench_model_scaling [--json PATH] "
+                         "[--reps N]\n";
+            return 2;
+        }
+    }
+
+    banner("Analytic hot path",
+           "compiled-evaluator throughput vs the rebuild-and-"
+           "revalidate reference");
 
     // Warm up allocators so steady-state rates are measured, not
     // first-touch costs.
@@ -590,22 +496,23 @@ runManual(const std::string &json_path, int reps)
     Measurement reference =
         measureExplorerReference(std::max(1, reps / 4));
 
-    printMeasurement("evaluate_8ip", eval8);
-    printMeasurement("compile_evaluate_4ip", compile4);
-    printMeasurement("sweep_mixing_4096", mixing);
-    printMeasurement("sweep_mixing_4096_scalar", mixing_scalar);
-    printMeasurement("explorer_grid", grid);
-    printMeasurement("explorer_grid_scalar", grid_scalar);
-    printMeasurement("explorer_grid_pruned", pruned);
-    printMeasurement("explorer_grid_reference", reference);
+    const std::pair<const char *, const Measurement *> rows[] = {
+        {"evaluate_8ip", &eval8},
+        {"compile_evaluate_4ip", &compile4},
+        {"sweep_mixing_4096", &mixing},
+        {"sweep_mixing_4096_scalar", &mixing_scalar},
+        {"explorer_grid", &grid},
+        {"explorer_grid_scalar", &grid_scalar},
+        {"explorer_grid_pruned", &pruned},
+        {"explorer_grid_reference", &reference},
+    };
+    for (const auto &[name, m] : rows)
+        printMeasurement(name, *m, "item");
 
-    double speedup_grid = grid.itemsPerSec / reference.itemsPerSec;
-    double speedup_pruned =
-        pruned.itemsPerSec / reference.itemsPerSec;
-    double speedup_mixing_simd =
-        mixing.itemsPerSec / mixing_scalar.itemsPerSec;
-    double speedup_grid_simd =
-        grid.itemsPerSec / grid_scalar.itemsPerSec;
+    double speedup_grid = grid.perSec / reference.perSec;
+    double speedup_pruned = pruned.perSec / reference.perSec;
+    double speedup_mixing_simd = mixing.perSec / mixing_scalar.perSec;
+    double speedup_grid_simd = grid.perSec / grid_scalar.perSec;
     std::cout << "  speedup vs reference: "
               << formatDouble(speedup_grid, 1) << "x unpruned, "
               << formatDouble(speedup_pruned, 1) << "x pruned\n";
@@ -616,73 +523,39 @@ runManual(const std::string &json_path, int reps)
               << "x explorer grid (lane width "
               << GablesEvalPack::kWidth << ")\n";
 
-    std::ostringstream out;
-    JsonWriter json(out);
-    json.beginObject();
-    json.key("schema");
-    json.beginObject();
-    json.kv("name", "gables-model-eval-bench");
-    json.kv("version", 1);
-    json.endObject();
-    json.kv("reps", reps);
-    json.key("config");
-    json.beginObject();
-    json.kv("lane_width", GablesEvalPack::kWidth);
-    json.endObject();
-    json.key("workloads");
-    json.beginObject();
-    writeMeasurement(json, "evaluate_8ip", eval8);
-    writeMeasurement(json, "compile_evaluate_4ip", compile4);
-    writeMeasurement(json, "sweep_mixing_4096", mixing);
-    writeMeasurement(json, "sweep_mixing_4096_scalar",
-                     mixing_scalar);
-    writeMeasurement(json, "explorer_grid", grid);
-    writeMeasurement(json, "explorer_grid_scalar", grid_scalar);
-    writeMeasurement(json, "explorer_grid_pruned", pruned);
-    writeMeasurement(json, "explorer_grid_reference", reference);
-    json.endObject();
-    json.key("speedup");
-    json.beginObject();
-    json.kv("explorer_grid_vs_reference", speedup_grid);
-    json.kv("explorer_grid_pruned_vs_reference", speedup_pruned);
-    json.kv("sweep_mixing_4096_simd_vs_scalar",
-            speedup_mixing_simd);
-    json.kv("explorer_grid_simd_vs_scalar", speedup_grid_simd);
-    json.endObject();
-    json.endObject();
-    writeFileAtomic(json_path, out.str());
-    std::cout << "wrote " << json_path << "\n";
-    return 0;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    std::string json_path;
-    int reps = 20;
-    std::vector<char *> passthrough;
-    passthrough.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (arg == "--reps" && i + 1 < argc) {
-            reps = static_cast<int>(
-                parseIntInRange(argv[++i], 1, 1000000, "--reps"));
-        } else {
-            passthrough.push_back(argv[i]);
-        }
+    if (!json_path.empty()) {
+        std::ostringstream out;
+        JsonWriter json(out);
+        json.beginObject();
+        json.key("schema");
+        json.beginObject();
+        json.kv("name", "gables-model-eval-bench");
+        json.kv("version", 1);
+        json.endObject();
+        json.kv("reps", reps);
+        json.key("config");
+        json.beginObject();
+        json.kv("lane_width", GablesEvalPack::kWidth);
+        json.endObject();
+        json.key("workloads");
+        json.beginObject();
+        for (const auto &[name, m] : rows)
+            writeMeasurement(json, name, *m, "item");
+        json.endObject();
+        json.key("speedup");
+        json.beginObject();
+        json.kv("explorer_grid_vs_reference", speedup_grid);
+        json.kv("explorer_grid_pruned_vs_reference", speedup_pruned);
+        json.kv("sweep_mixing_4096_simd_vs_scalar",
+                speedup_mixing_simd);
+        json.kv("explorer_grid_simd_vs_scalar", speedup_grid_simd);
+        json.endObject();
+        json.endObject();
+        writeFileAtomic(json_path, out.str());
+        std::cout << "wrote " << json_path << "\n";
     }
-    if (!json_path.empty())
-        return runManual(json_path, reps);
 
-    gables::bench::banner(
-        "Ablation 4",
-        "model-evaluation cost vs N (google-benchmark timings)");
-    int pargc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&pargc, passthrough.data());
-    benchmark::RunSpecifiedBenchmarks();
+    // After the gated workloads, so they are measured first.
+    printScaling(std::max(1, reps / 4));
     return 0;
 }

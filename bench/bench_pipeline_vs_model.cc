@@ -8,8 +8,6 @@
  * where the losses come from.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.h"
@@ -76,25 +74,11 @@ reproduce()
                  "closer to the bound (line-buffered IPs)\n";
 }
 
-void
-BM_PipelineHfr96Frames(benchmark::State &state)
-{
-    SocSpec soc = SocCatalog::snapdragon835Full();
-    UsecaseEntry hfr = UsecaseCatalog::videocaptureHfr();
-    sim::PipelineSim sim(soc, hfr.graph);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sim.run(96).steadyFps);
-    }
-}
-BENCHMARK(BM_PipelineHfr96Frames)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

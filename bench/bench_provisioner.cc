@@ -8,8 +8,6 @@
  * reasoning generalized to all knobs and nine usecases at once.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/provisioner.h"
@@ -85,25 +83,11 @@ reproduce()
                  "over-provisioned for THESE usecases.\n";
 }
 
-void
-BM_ProvisionPortfolio(benchmark::State &state)
-{
-    SocSpec start = SocCatalog::snapdragon835Full();
-    std::vector<Requirement> reqs = portfolio(start);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            Provisioner::minimize(start, reqs).iterations);
-    }
-}
-BENCHMARK(BM_ProvisionPortfolio)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

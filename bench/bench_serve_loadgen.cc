@@ -1,8 +1,8 @@
 /**
  * @file
  * Load generator for the `gables serve` daemon: a socket client that
- * derives its request mix from the committed replay corpus
- * (tests/corpus/*.json), so the daemon is exercised with the same
+ * derives its request mix from the committed replay corpus (the JSON
+ * bundles in tests/corpus), so the daemon is exercised with the same
  * scenarios the CLI regression backbone replays.
  *
  * Two phases:
@@ -43,6 +43,7 @@
 #include <cmath>
 #include <fstream>
 
+#include "bench_util.h"
 #include "core/gables.h"
 #include "core/serialize.h"
 #include "replay/bundle.h"
@@ -57,13 +58,8 @@
 namespace {
 
 using namespace gables;
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using bench::Clock;
+using bench::secondsSince;
 
 /** One derived request: a full JSON line plus provenance. */
 struct MixRequest {

@@ -6,8 +6,6 @@
  * and the gap distribution.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 
@@ -89,45 +87,11 @@ reproduce()
                  "achieves >90% of it)\n";
 }
 
-void
-BM_SimSingleRun(benchmark::State &state)
-{
-    auto soc = SocCatalog::simpleSim(10e9, 20e9, 40e9);
-    sim::KernelJob job;
-    job.workingSetBytes = 16e6;
-    job.totalBytes = 16e6;
-    job.opsPerByte = 1.0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(soc->run({{"IP0", job}}).duration);
-    }
-}
-BENCHMARK(BM_SimSingleRun)->Unit(benchmark::kMillisecond);
-
-void
-BM_SimEventsPerSecond(benchmark::State &state)
-{
-    auto soc = SocCatalog::simpleSim(10e9, 20e9, 40e9);
-    sim::KernelJob job;
-    job.workingSetBytes = 16e6;
-    job.totalBytes = 16e6;
-    job.opsPerByte = 1.0;
-    uint64_t events = 0;
-    for (auto _ : state) {
-        soc->run({{"IP0", job}});
-        events += soc->eventQueue().eventsExecuted();
-    }
-    state.counters["events/s"] = benchmark::Counter(
-        static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimEventsPerSecond)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduce();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,8 +6,6 @@
  * rate, bottleneck, and DRAM traffic (the Section II-B narrative).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include <fstream>
@@ -108,28 +106,13 @@ analyzeUsecases()
               << map.renderAscii();
 }
 
-void
-BM_AnalyzeAllUsecases(benchmark::State &state)
-{
-    SocSpec soc = SocCatalog::snapdragon835Full();
-    auto all = UsecaseCatalog::all();
-    for (auto _ : state) {
-        for (const UsecaseEntry &entry : all)
-            benchmark::DoNotOptimize(
-                entry.graph.analyze(soc).maxFps);
-    }
-}
-BENCHMARK(BM_AnalyzeAllUsecases);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     reproduceTableOne();
     reproduceFigure4();
     analyzeUsecases();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

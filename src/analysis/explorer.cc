@@ -454,6 +454,8 @@ DesignExplorer::exploreFrontier(const ExploreOptions &options,
     chunk_points.reserve(chunk);
 
     for (size_t lo = 0; lo < total; lo += chunk) {
+        if (options.checkExpiry)
+            options.checkExpiry();
         const size_t hi = std::min(total, lo + chunk);
         if (prune && !incumbents.empty()) {
             GABLES_SPAN("explore.bounds");

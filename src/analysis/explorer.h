@@ -25,6 +25,7 @@
 #define GABLES_ANALYSIS_EXPLORER_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,10 @@ struct ExploreOptions {
     bool prune = true;
     /** Flat enumeration indices per pruning subgrid. */
     size_t subgridSize = 256;
+    /** Expiry check, polled on the calling thread before each
+     * subgrid; it abandons the run by throwing (serve turns a request
+     * deadline into one). Empty: never polled. */
+    std::function<void()> checkExpiry;
 };
 
 /** Work accounting of one exploreFrontier() run, for the model.*

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/logging.h"
+#include "util/math_util.h"
 
 namespace gables {
 
@@ -56,8 +57,7 @@ PhasedUsecase::evaluate(const SocSpec &soc) const
     result.timeShare.reserve(times.size());
     double worst = -1.0;
     for (size_t i = 0; i < times.size(); ++i) {
-        double share = times[i] / total_time;
-        result.timeShare.push_back(share);
+        result.timeShare.push_back(shareOfSum(times, i, total_time));
         if (times[i] > worst) {
             worst = times[i];
             result.dominantPhase = static_cast<int>(i);

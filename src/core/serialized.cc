@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.h"
+#include "util/math_util.h"
 
 namespace gables {
 
@@ -31,7 +32,8 @@ SerializedModel::evaluate(const SocSpec &soc, const Usecase &usecase)
     }
     GABLES_ASSERT(total > 0.0, "serialized usecase has zero total time");
     result.attainable = 1.0 / total;
-    result.dominantShare = worst / total;
+    result.dominantShare =
+        shareOfSum(result.ipTimes, result.dominantIp, total);
     return result;
 }
 

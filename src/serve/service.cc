@@ -346,6 +346,11 @@ handleExplore(const JsonValue &req, OpContext &ctx)
     // the daemon's scaling axis.
     ExploreOptions opts;
     opts.jobs = 1;
+    opts.checkExpiry = [&ctx] {
+        if (ctx.deadline.expired())
+            throw RequestError{ServeError{
+                ErrorKind::Deadline, "deadline expired mid-explore"}};
+    };
     ExploreStats stats;
     std::vector<Candidate> frontier =
         explorer.exploreFrontier(opts, &stats);

@@ -23,9 +23,9 @@
  * filesystem ("config" path + optional "usecase" name).
  *
  * Requests may carry "deadline_ms": the server refuses to start (and
- * abandons between phases) work past the deadline and answers with a
- * "deadline" error; "deadline_ms": 0 is deterministically expired,
- * which tests use.
+ * abandons mid-sweep and mid-explore) work past the deadline and
+ * answers with a "deadline" error; "deadline_ms": 0 is
+ * deterministically expired, which tests use.
  *
  * Thread-safety: handleLine() may be called from any thread;
  * handleBatch() fans a batch onto the service's worker pool and

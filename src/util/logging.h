@@ -80,15 +80,9 @@ void debug(const std::string &msg);
 void warn(const std::string &msg);
 
 /**
- * Emit an error-level message without throwing — for callers (like
- * configError()) that throw their own FatalError subclass but still
- * want the diagnostic on the log sink.
- */
-void logError(const std::string &msg);
-
-/**
  * Report a user-correctable error and abort the operation by throwing
- * FatalError.
+ * FatalError. Nothing is logged: the catch site that reports the
+ * error prints what(), so each error reaches the user once.
  *
  * @param msg Description of the problem and how to fix it.
  */

@@ -42,6 +42,23 @@ relativeError(double a, double b, double eps)
     return std::fabs(a - b) / std::max(std::fabs(b), eps);
 }
 
+double
+shareOfSum(const std::vector<double> &terms, size_t i, double total)
+{
+    if (!std::isinf(total))
+        return terms[i] / total;
+    const double top = *std::max_element(terms.begin(), terms.end());
+    auto scaled = [top](double t) {
+        if (std::isinf(top))
+            return std::isinf(t) ? 1.0 : 0.0;
+        return t / top;
+    };
+    double sum = 0.0;
+    for (double t : terms)
+        sum += scaled(t);
+    return scaled(terms[i]) / sum;
+}
+
 std::vector<double>
 logspace(double lo, double hi, size_t count)
 {

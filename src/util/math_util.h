@@ -28,6 +28,16 @@ double weightedHarmonicMean(const std::vector<double> &weights,
                             const std::vector<double> &values);
 
 /**
+ * Share of @p terms[i] in @p total, the in-order sum of the
+ * non-negative @p terms: terms[i] / total. A sum that overflowed to
+ * +inf would give inf/inf = NaN for an infinite term, so then the
+ * shares are those of the terms scaled by the largest one: infinite
+ * terms split the total equally and finite ones get 0.
+ */
+double shareOfSum(const std::vector<double> &terms, size_t i,
+                  double total);
+
+/**
  * Relative approximate equality: |a-b| <= tol * max(|a|,|b|,1).
  */
 bool approxEqual(double a, double b, double tol = 1e-9);

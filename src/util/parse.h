@@ -67,8 +67,8 @@ class ConfigError : public FatalError
 };
 
 /**
- * Report a located user-input error: log it like fatal() and throw
- * ConfigError.
+ * Report a located user-input error by throwing ConfigError; like
+ * fatal(), it logs nothing.
  */
 [[noreturn]] void configError(const SourceLoc &loc,
                               const std::string &msg);

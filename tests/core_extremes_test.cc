@@ -12,6 +12,7 @@
 #include <limits>
 
 #include "core/gables.h"
+#include "core/phased.h"
 #include "core/serialized.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -126,6 +127,33 @@ TEST(Extremes, MixedMagnitudeIpsAcrossThirtyOrders)
     // The tiny IP's 0.5 work at ~1 op/s dominates: P ~ 2 ops/s.
     EXPECT_NEAR(r.attainable, 2.0, 1e-6);
     EXPECT_EQ(r.bottleneckIp, 0);
+}
+
+TEST(Extremes, OverflowedTransferTimeKeepsSharesFinite)
+{
+    // CPU's Di/Bi = 0.5 / 1e-310 overflows to +inf, so the serialized
+    // total is inf; the infinite term takes the whole share instead
+    // of inf/inf = NaN.
+    SocSpec soc("overflow", 10e9, 30e9,
+                {IpSpec{"cpu", 1.0, 1e-310}, IpSpec{"gpu", 2.0, 1e9}});
+    Usecase u = Usecase::twoIp("u", 0.5, 1.0, 1.0);
+    SerializedResult s = SerializedModel::evaluate(soc, u);
+    EXPECT_EQ(s.attainable, 0.0);
+    EXPECT_EQ(s.dominantIp, 0);
+    EXPECT_EQ(s.dominantShare, 1.0);
+
+    // The same usecase as the first of two phases: that phase's time
+    // is inf, the GPU-only phase's is finite.
+    PhasedUsecase phased(
+        "p", {Phase{"cpu+gpu", 0.5, PhaseMode::Exclusive, u},
+              Phase{"gpu", 0.5, PhaseMode::Concurrent,
+                    Usecase::twoIp("g", 1.0, 1.0, 1.0)}});
+    PhasedResult p = phased.evaluate(soc);
+    EXPECT_EQ(p.attainable, 0.0);
+    EXPECT_EQ(p.dominantPhase, 0);
+    ASSERT_EQ(p.timeShare.size(), 2u);
+    EXPECT_EQ(p.timeShare[0], 1.0);
+    EXPECT_EQ(p.timeShare[1], 0.0);
 }
 
 } // namespace

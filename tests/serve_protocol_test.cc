@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -90,6 +91,18 @@ statValue(const JsonValue &report, const std::string &name)
         return 0.0;
     return report.at("stats").at(name).at("value").asNumber();
 }
+
+/** Redirects the log sink to a buffer for one scope. */
+class LogCapture
+{
+  public:
+    LogCapture() { setLogSink(&buf_); }
+    ~LogCapture() { setLogSink(nullptr); }
+    std::string text() const { return buf_.str(); }
+
+  private:
+    std::ostringstream buf_;
+};
 
 JsonValue
 statsDoc(serve::ServeService &service)
@@ -196,15 +209,19 @@ TEST(ServeProtocol, ConfigFileResolutionAndNamedUsecase)
     std::remove(path.c_str());
 }
 
+// A config error is reported once, in the response: nothing reaches
+// the daemon's log.
 TEST(ServeProtocol, BadConfigPathIsConfigErrorCode1)
 {
     serve::ServeService service{serve::ServeOptions{}};
+    LogCapture log;
     JsonValue doc = parseResponse(service.handleLine(
         "{\"id\": 1, \"op\": \"eval\", "
         "\"config\": \"/no/such/file.ini\"}"));
     EXPECT_FALSE(doc.at("ok").asBool());
     EXPECT_EQ(doc.at("error").at("code").asNumber(), 1.0);
     EXPECT_EQ(doc.at("error").at("kind").asString(), "config");
+    EXPECT_EQ(log.text(), "");
 }
 
 // The "config" branch picks its usecase through SocConfig::select(),
@@ -237,11 +254,13 @@ TEST(ServeProtocol, MalformedConfigCarriesLocatedDiagnostic)
         out << "[soc]\nppeak = 40 Gops/s\nbpeek = 10 GB/s\n";
     }
     serve::ServeService service{serve::ServeOptions{}};
+    LogCapture log;
     JsonValue doc = parseResponse(service.handleLine(
         "{\"id\": 1, \"op\": \"eval\", \"config\": \"" + path +
         "\"}"));
     EXPECT_FALSE(doc.at("ok").asBool());
     EXPECT_EQ(doc.at("error").at("code").asNumber(), 1.0);
+    EXPECT_EQ(log.text(), "");
     // The PR 3 diagnostics carry file:line and a suggestion; both
     // must survive into the wire error.
     std::string message = doc.at("error").at("message").asString();
@@ -262,6 +281,39 @@ TEST(ServeProtocol, DeadlineZeroExpiresDeterministically)
     EXPECT_EQ(doc.at("error").at("kind").asString(), "deadline");
     EXPECT_EQ(statValue(statsDoc(service), "serve.deadline_expired"),
               1.0);
+}
+
+// A 4-knob x 64-value explore is 16.7 M designs (about a second of
+// work); the explorer polls the deadline before every 256-design
+// subgrid, so a 5 ms budget answers "deadline" within a few subgrids.
+TEST(ServeProtocol, ExploreHonoursDeadline)
+{
+    auto knob = [](const std::string &name, int ip) {
+        std::string s = "{\"knob\": \"" + name + "\"";
+        if (ip >= 0)
+            s += ", \"ip\": " + std::to_string(ip);
+        s += ", \"values\": [1e9";
+        for (int v = 2; v <= 64; ++v)
+            s += ", " + std::to_string(v) + "e9";
+        return s + "]}";
+    };
+    const std::string sweeps = knob("bpeak", -1) + ", " +
+                               knob("acceleration", 1) + ", " +
+                               knob("ip_bandwidth", 0) + ", " +
+                               knob("ip_bandwidth", 1);
+    serve::ServeService service{serve::ServeOptions{}};
+    const auto t0 = std::chrono::steady_clock::now();
+    JsonValue doc = parseResponse(service.handleLine(modelRequest(
+        1, "explore", SocCatalog::paperTwoIp(),
+        paperUsecase(0.75, 8.0, 0.1),
+        "\"sweep\": [" + sweeps + "], \"deadline_ms\": 5")));
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    EXPECT_FALSE(doc.at("ok").asBool());
+    EXPECT_EQ(doc.at("error").at("kind").asString(), "deadline");
+    // Generous for sanitizer builds; the whole grid takes ~1 s.
+    EXPECT_LT(ms, 100.0);
 }
 
 TEST(ServeProtocol, NegativeDeadlineIsBadRequest)

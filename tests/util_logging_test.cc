@@ -62,8 +62,10 @@ TEST(Logging, ErrorLevelSilencesWarnButNotFatal)
     LogCapture cap;
     setLogLevel(LogLevel::Error);
     warn("hidden");
+    // fatal() only throws: the catch site that reports the error
+    // prints what(), so logging it too would print it twice.
     EXPECT_THROW(fatal("boom"), FatalError);
-    EXPECT_EQ(cap.text(), "fatal: boom\n");
+    EXPECT_EQ(cap.text(), "");
 }
 
 TEST(Logging, FatalCarriesMessage)
